@@ -78,6 +78,9 @@ def _load_config(path: str) -> tuple[ExperimentConfig, list[float] | None]:
             v = [x for x in v.split(",") if x]
         return [conv(x) for x in v]
 
+    missing = [key for key in ("images", "densities") if key not in raw]
+    if missing:
+        raise ValueError(f"config {path} lacks required key(s): {', '.join(missing)}")
     param_fields = {f.name for f in dataclasses.fields(FsrParams)}
     overrides = {
         k: type(getattr(FsrParams(), k))(raw[k]) for k in param_fields if k in raw

@@ -2,18 +2,28 @@ import numpy as np
 import pytest
 
 from fsrecon.core import (
+    _dft_exponentials,
+    _rolled_rows,
+    _selection_order,
     init_model_state,
     projection_coefficients,
     reconstruct_block,
     reconstruct_block_reference,
     reconstruct_image,
     select_basis,
+    stack_priors,
     synthesize_model,
     update_model,
 )
 from fsrecon.grid import AreaLabel, BlockContext, ImageGrid, SamplingMask, generate_mask
 from fsrecon.priors import build_prior_map
-from fsrecon.weighting import FsrParams, PriorKind, build_weight_map, effective_density
+from fsrecon.weighting import (
+    FsrParams,
+    PriorKind,
+    build_weight_map,
+    decay_map,
+    effective_density,
+)
 
 
 def random_ctx(rng, M=8, density=0.5, block_size=None, border=None):
@@ -52,15 +62,15 @@ def brute_force_dft(x):
 class TestInitModelState:
     def test_zero_values(self):
         ctx = full_ctx(np.zeros((8, 8)))
-        state = init_model_state(ctx, build_weight_map(ctx, FsrParams()))
+        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         assert np.all(state.weighted_residual_spectrum == 0)
         assert state.nu == 0
 
     def test_constant_dc_bin(self):
         ctx = full_ctx(np.full((8, 8), 42.0))
         p = FsrParams(rho_hat=1.0)
-        state = init_model_state(ctx, build_weight_map(ctx, p))
-        spec = state.weighted_residual_spectrum
+        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        spec = state.weighted_residual_spectrum[0]
         assert spec[0, 0] == pytest.approx(42.0 * 64, rel=1e-12)
         off_dc = np.abs(spec).copy()
         off_dc[0, 0] = 0.0
@@ -70,22 +80,22 @@ class TestInitModelState:
         rng = np.random.default_rng(31)
         ctx = random_ctx(rng, M=8)
         wm = build_weight_map(ctx, FsrParams())
-        state = init_model_state(ctx, wm)
+        state = init_model_state([ctx], [wm])
         expected = brute_force_dft(ctx.values * wm.w)
-        np.testing.assert_allclose(state.weighted_residual_spectrum, expected, atol=1e-9)
+        np.testing.assert_allclose(state.weighted_residual_spectrum[0], expected, atol=1e-9)
 
 
 class TestProjections:
     def test_constant_residual_dc(self):
         ctx = full_ctx(np.full((8, 8), 7.0))
         p = FsrParams(rho_hat=1.0)
-        state = init_model_state(ctx, build_weight_map(ctx, p))
+        state = init_model_state([ctx], [build_weight_map(ctx, p)])
         proj = projection_coefficients(state)
-        assert proj[0, 0] == pytest.approx(7.0, rel=1e-12)
+        assert proj[0, 0, 0] == pytest.approx(7.0, rel=1e-12)
 
     def test_zero_residual(self):
         ctx = full_ctx(np.zeros((8, 8)))
-        state = init_model_state(ctx, build_weight_map(ctx, FsrParams()))
+        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         assert np.all(projection_coefficients(state) == 0)
 
     def test_single_sample_constant_magnitude(self):
@@ -94,7 +104,7 @@ class TestProjections:
         values = np.zeros((4, 4))
         values[1, 2] = 9.0
         ctx = BlockContext(origin=(0, 0), block_size=2, border=1, labels=labels, values=values)
-        state = init_model_state(ctx, build_weight_map(ctx, FsrParams()))
+        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         proj = projection_coefficients(state)
         np.testing.assert_allclose(np.abs(proj), 9.0, rtol=1e-12)
 
@@ -103,7 +113,7 @@ class TestProjections:
         ctx = BlockContext(
             origin=(0, 0), block_size=2, border=1, labels=labels, values=np.zeros((4, 4))
         )
-        state = init_model_state(ctx, build_weight_map(ctx, FsrParams()))
+        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         with pytest.raises(ValueError):
             projection_coefficients(state)
 
@@ -115,10 +125,10 @@ class TestSelectBasis:
         values = np.zeros((4, 4))
         values[1, 2] = 5.0
         ctx = BlockContext(origin=(0, 0), block_size=2, border=1, labels=labels, values=values)
-        state = init_model_state(ctx, build_weight_map(ctx, FsrParams()))
+        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         prior = build_prior_map(PriorKind.OTF, 4, 4, 0.5, FsrParams())
         proj = projection_coefficients(state)
-        assert select_basis(proj, prior, state) == (0, 0)
+        assert select_basis(proj, stack_priors([prior]), state) == (0, 0)
 
     def test_cosine_selects_its_frequency(self):
         M = 16
@@ -126,14 +136,14 @@ class TestSelectBasis:
         values = 100.0 + 50.0 * np.cos(2 * np.pi * 3 * m / M) * np.ones((1, M))
         ctx = full_ctx(values)
         p = FsrParams(rho_hat=1.0, gamma=1.0)
-        state = init_model_state(ctx, build_weight_map(ctx, p))
+        state = init_model_state([ctx], [build_weight_map(ctx, p)])
         prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
         proj = projection_coefficients(state)
-        u, v = select_basis(proj, prior, state)
+        u, v = select_basis(proj, stack_priors([prior]), state)
         assert (u, v) == (0, 0)  # DC dominates first
-        update_model(state, u, v, proj[u, v], p)
+        update_model(state, u, v, proj[0, u, v], p)
         proj = projection_coefficients(state)
-        u, v = select_basis(proj, prior, state)
+        u, v = select_basis(proj, stack_priors([prior]), state)
         assert (u, v) in [(3, 0), (M - 3, 0)]
 
 
@@ -142,63 +152,79 @@ class TestUpdateModel:
         rng = np.random.default_rng(5)
         ctx = full_ctx(rng.uniform(0, 255, (8, 8)))
         p = FsrParams(rho_hat=1.0, gamma=1.0)
-        state = init_model_state(ctx, build_weight_map(ctx, p))
+        state = init_model_state([ctx], [build_weight_map(ctx, p)])
         prior = build_prior_map(PriorKind.NONE, 8, 8, 1.0, p)
         proj = projection_coefficients(state)
-        u, v = select_basis(proj, prior, state)
-        update_model(state, u, v, proj[u, v], p)
+        u, v = select_basis(proj, stack_priors([prior]), state)
+        update_model(state, u, v, proj[0, u, v], p)
         proj2 = projection_coefficients(state)
-        assert abs(proj2[u, v]) < 1e-9
+        assert abs(proj2[0, u, v]) < 1e-9
 
     def test_gamma_halves_coefficient(self):
         rng = np.random.default_rng(6)
         ctx = full_ctx(rng.uniform(0, 255, (8, 8)))
         p = FsrParams(gamma=0.5)
-        state = init_model_state(ctx, build_weight_map(ctx, p))
+        state = init_model_state([ctx], [build_weight_map(ctx, p)])
         proj = projection_coefficients(state)
-        update_model(state, 1, 2, proj[1, 2], p)
-        assert state.coef[1, 2] == 0.5 * proj[1, 2]
-        assert state.coef[7, 6] == np.conj(0.5 * proj[1, 2])
+        update_model(state, np.array([1]), np.array([2]), proj[:, 1, 2], p)
+        assert state.coef[0, 1, 2] == 0.5 * proj[0, 1, 2]
+        assert state.coef[0, 7, 6] == np.conj(0.5 * proj[0, 1, 2])
 
     def test_spectrum_update_equals_spatial_oracle(self):
         rng = np.random.default_rng(7)
         ctx = random_ctx(rng, M=8)
         p = FsrParams(gamma=0.5)
         wm = build_weight_map(ctx, p)
-        state = init_model_state(ctx, wm)
+        state = init_model_state([ctx], [wm])
         r = ctx.values.copy()
         M = 8
         mg, ng = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
         for _ in range(5):
             proj = projection_coefficients(state)
             prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
-            u, v = select_basis(proj, prior, state)
-            c = p.gamma * proj[u, v]
+            u, v = select_basis(proj, stack_priors([prior]), state)
+            c = p.gamma * proj[0, u, v]
             phi = np.exp(2j * np.pi * (mg * u / M + ng * v / M))
             if (2 * u) % M == 0 and (2 * v) % M == 0:
                 r = r - c.real * phi.real
             else:
                 r = r - 2.0 * (c * phi).real
-            update_model(state, u, v, proj[u, v], p)
+            update_model(state, u, v, proj[0, u, v], p)
             np.testing.assert_allclose(
-                state.weighted_residual_spectrum, np.fft.fft2(r * wm.w), atol=1e-6
+                state.weighted_residual_spectrum[0], np.fft.fft2(r * wm.w), atol=1e-6
             )
 
     def test_conjugate_symmetry_of_coefficients(self):
         rng = np.random.default_rng(12)
         ctx = random_ctx(rng, M=8)
         p = FsrParams()
-        state = init_model_state(ctx, build_weight_map(ctx, p))
+        state = init_model_state([ctx], [build_weight_map(ctx, p)])
         prior = build_prior_map(PriorKind.ADAPTIVE, 8, 8, 0.5, p)
         for _ in range(20):
             proj = projection_coefficients(state)
-            u, v = select_basis(proj, prior, state)
-            update_model(state, u, v, proj[u, v], p)
-        flipped = state.coef[(-np.arange(8)) % 8][:, (-np.arange(8)) % 8]
-        np.testing.assert_allclose(state.coef, np.conj(flipped), atol=1e-12)
+            u, v = select_basis(proj, stack_priors([prior]), state)
+            update_model(state, u, v, proj[0, u, v], p)
+        flipped = state.coef[0][(-np.arange(8)) % 8][:, (-np.arange(8)) % 8]
+        np.testing.assert_allclose(state.coef[0], np.conj(flipped), atol=1e-12)
         g = synthesize_model(state)
-        assert np.max(np.abs(np.imag(np.fft.ifft2(state.coef) * 64))) < 1e-6
-        assert g.shape == (8, 8)
+        assert np.max(np.abs(np.imag(np.fft.ifft2(state.coef[0]) * 64))) < 1e-6
+        assert g.shape == (1, 8, 8)
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: _selection_order(8, 8),
+            lambda: _rolled_rows(8),
+            lambda: _dft_exponentials(8),
+            lambda: decay_map(8, 8, 0.7),
+        ],
+        ids=["selection_order", "rolled_rows", "dft_exponentials", "decay_map"],
+    )
+    def test_cached_table_is_read_only(self, table):
+        with pytest.raises(ValueError):
+            table()[0] = 0
 
 
 class TestReconstructBlock:

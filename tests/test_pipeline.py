@@ -180,3 +180,16 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
         report = RunReport.read_csv(tmp_path / "sweep" / "tau_sweep.csv")
         assert sorted({r.tau for r in report.rows}) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("missing", ["images", "densities"])
+    def test_bench_config_missing_key_exits_with_message(
+        self, test_image, tmp_path, capsys, missing
+    ):
+        cfg = {"images": [test_image], "densities": [0.5], "methods": ["nn"]}
+        del cfg[missing]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"lacks required key(s): {missing}" in err
