@@ -17,6 +17,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
@@ -25,8 +27,9 @@ from .grid import AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_
 from .priors import PriorMap, build_prior_map
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
 
-# Windows per kernel call.  Each window adds about 150 kB of stacked
-# arrays, so the cap bounds peak memory whatever the image size.
+# Windows per kernel call.  Each 32x32 window adds about 110 kB to the
+# kernel's peak allocation, so the cap bounds peak memory whatever the
+# image size.
 _MAX_STACK = 16
 
 
@@ -34,24 +37,34 @@ _MAX_STACK = 16
 class ModelState:
     """Mutable state of the greedy model generation for a stack of F windows.
 
-    ``shifted_weight_spectra[f, m, N - v]`` is row m of window f's weight
-    spectrum rolled by v columns: a view into the spectrum tiled twice
-    along its columns.  ``_rolled_rows`` supplies the rows of a roll by u.
+    The weighted residual spectrum is kept for rows 0..M/2 only: every bin
+    of ``_selection_order`` lies there, and the rest follows by Hermitian
+    symmetry.  ``shifted_weight_spectra[f, m, s]`` is row m of window f's
+    weight spectrum rolled by N - s columns: a view into the spectrum
+    tiled twice along its columns.  ``updates`` records, per iteration, the
+    selected positions and the coefficients of the bins and their partners;
+    ``synthesize_model`` accumulates them into ``coef``.
     """
 
-    coef: NDArray[np.complex128]
     weighted_residual_spectrum: NDArray[np.complex128]
     shifted_weight_spectra: NDArray[np.complex128]
     weight_sum: NDArray[np.float64]
-    nu: int = 0
+    updates: list[tuple[NDArray[np.intp], NDArray[np.complex128]]] = field(
+        default_factory=list
+    )
+    coef: NDArray[np.complex128] | None = None
 
     @property
     def M(self) -> int:
-        return self.coef.shape[1]
+        return self.shifted_weight_spectra.shape[1]
 
     @property
     def N(self) -> int:
-        return self.coef.shape[2]
+        return self.shifted_weight_spectra.shape[3]
+
+    @property
+    def nu(self) -> int:
+        return len(self.updates)
 
 
 @dataclass(frozen=True)
@@ -82,12 +95,31 @@ def _selection_order(M: int, N: int) -> NDArray[np.intp]:
     return order
 
 
+class _PositionTable(NamedTuple):
+    """Update indices of each position of ``_selection_order``.
+
+    Axis 0 of ``rows``, ``cols`` and ``bins`` is (bin, conjugate partner).
+    """
+
+    rows: NDArray[np.intp]  # (2, P, M/2+1) source rows of the rolled half spectrum
+    cols: NDArray[np.intp]  # (2, P) start columns in the tiled weight spectrum
+    bins: NDArray[np.intp]  # (2, P) flat bin indices into the full spectrum
+    self_conjugate: NDArray[np.bool_]  # (P,)
+
+
 @lru_cache(maxsize=8)
-def _rolled_rows(M: int) -> NDArray[np.intp]:
-    """Row u lists the source rows of a spectrum rolled by u rows."""
-    rows = (np.arange(M) - np.arange(M)[:, None]) % M
-    rows.flags.writeable = False
-    return rows
+def _position_table(M: int, N: int) -> _PositionTable:
+    u, v = np.divmod(_selection_order(M, N), N)
+    uu, vv = np.stack((u, (M - u) % M)), np.stack((v, (N - v) % N))
+    table = _PositionTable(
+        rows=(np.arange(M // 2 + 1) - uu[..., None]) % M,
+        cols=N - vv,
+        bins=uu * N + vv,
+        self_conjugate=(uu[1] == u) & (vv[1] == v),
+    )
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def init_model_state(
@@ -98,8 +130,7 @@ def init_model_state(
     w = np.stack([wm.w for wm in weight_maps])
     W = np.fft.fft2(w)
     return ModelState(
-        coef=np.zeros(w.shape, dtype=np.complex128),
-        weighted_residual_spectrum=np.fft.fft2(values * w),
+        weighted_residual_spectrum=np.fft.fft2(values * w)[:, : w.shape[1] // 2 + 1].copy(),
         shifted_weight_spectra=sliding_window_view(
             np.concatenate((W, W), axis=2), W.shape[2], axis=2
         ),
@@ -108,14 +139,18 @@ def init_model_state(
 
 
 def projection_coefficients(state: ModelState) -> NDArray[np.complex128]:
-    """Weighted projection of each window's residual onto every DFT exponential.
+    """Weighted projection of each window's residual at the bins of ``_selection_order``.
 
     The unit-modulus basis makes the projection denominator collapse to
-    the plain weight sum, identical for every frequency.
+    the plain weight sum, identical for every frequency.  Row-major flat
+    indices of rows 0..M/2 are the same in the half and the full spectrum.
     """
     if state.weight_sum.min() <= 0.0:
         raise ValueError("weight sum is zero; the window holds no data")
-    return state.weighted_residual_spectrum / state.weight_sum[:, None, None]
+    R = state.weighted_residual_spectrum
+    q = np.take(R.reshape(len(R), -1), _selection_order(state.M, state.N), axis=1)
+    q /= state.weight_sum[:, None]  # a true divide: 1/weight_sum can flip a zero's sign
+    return q
 
 
 def stack_priors(priors: Sequence[PriorMap]) -> NDArray[np.float64]:
@@ -126,20 +161,20 @@ def stack_priors(priors: Sequence[PriorMap]) -> NDArray[np.float64]:
 
 
 def select_basis(
-    p: NDArray[np.complex128], prior_weights: NDArray[np.float64], state: ModelState
-) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """Per window, the frequency with the largest prior-modulated projection energy.
+    q: NDArray[np.complex128], prior_weights: NDArray[np.float64]
+) -> NDArray[np.intp]:
+    """Per window, the position of the largest prior-modulated projection energy.
 
-    ``prior_weights`` comes from ``stack_priors``.  The search runs over
-    one representative per conjugate pair; partners carry mathematically
-    equal objectives and the update treats the pair as a unit.  An
-    all-zero objective yields DC.
+    ``q`` comes from ``projection_coefficients`` and ``prior_weights`` from
+    ``stack_priors``; the result indexes ``_selection_order``.  The search
+    runs over one representative per conjugate pair; partners carry
+    mathematically equal objectives and the update treats the pair as a
+    unit.  An all-zero objective yields DC.
     """
-    order = _selection_order(state.M, state.N)
-    q = np.take(p.reshape(len(p), -1), order, axis=1)
-    sq = np.square(q.view(np.float64).reshape(*q.shape, 2))  # real**2, imag**2
-    obj = (sq[..., 0] + sq[..., 1]) * prior_weights
-    return np.divmod(order[obj.argmax(axis=1)], state.N)
+    sq = np.square(q.view(np.float64))  # real**2, imag**2 interleaved
+    obj = sq[:, 0::2] + sq[:, 1::2]
+    obj *= prior_weights
+    return obj.argmax(axis=1)
 
 
 def _is_self_conjugate(u: int, v: int, M: int, N: int) -> bool:
@@ -147,10 +182,10 @@ def _is_self_conjugate(u: int, v: int, M: int, N: int) -> bool:
 
 
 def update_model(
-    state: ModelState, u: NDArray[np.intp], v: NDArray[np.intp],
-    p_uv: NDArray[np.complex128], params: FsrParams,
+    state: ModelState, j: NDArray[np.intp], p_uv: NDArray[np.complex128],
+    params: FsrParams,
 ) -> ModelState:
-    """Accumulate the damped coefficient at (u, v) and its conjugate partner.
+    """Accumulate the damped coefficient at position j and its conjugate partner.
 
     The weighted residual spectrum is updated in place by subtracting the
     correspondingly shifted weight spectra, which mirrors the spatial
@@ -158,29 +193,44 @@ def update_model(
     coefficient; its partner term is then zero, which leaves the
     coefficients and every later selection unchanged.
     """
-    M, N = state.M, state.N
-    F = len(u)
-    uu = np.concatenate((u, (M - u) % M))  # the bins, then their partners
-    vv = np.concatenate((v, (N - v) % N))
-    ff = np.arange(2 * F) % F
-    self_conj = (uu[F:] == u) & (vv[F:] == v)
+    F = len(j)
+    table = _position_table(state.M, state.N)
     c = params.gamma * p_uv
-    c = np.where(self_conj, c.real, c)
-    cc = np.concatenate((c, np.where(self_conj, 0.0, np.conj(c))))
-    np.add.at(state.coef, (ff, uu, vv), cc)
-    rows = _rolled_rows(M)[uu]
-    shifted = state.shifted_weight_spectra[ff[:, None], rows, (N - vv)[:, None]]
-    np.multiply(cc[:, None, None], shifted, out=shifted)
+    self_conj = table.self_conjugate[j]
+    if self_conj.any():  # rare: only 4 of the M*N/2+2 positions
+        c = np.where(self_conj, c.real, c)
+        partner = np.where(self_conj, 0.0, np.conj(c))
+    else:
+        partner = np.conj(c)
+    cc = np.concatenate((c, partner))  # the bins, then their partners
+    state.updates.append((j, cc))
+    ff = np.arange(2 * F) % F
+    rows = table.rows[:, j].reshape(2 * F, -1)
+    cols = table.cols[:, j].reshape(2 * F, 1)
+    shifted = state.shifted_weight_spectra[ff[:, None], rows, cols]
+    flat = shifted.reshape(2 * F, -1)
+    np.multiply(cc[:, None], flat, out=flat)
     # two subtractions, bin then partner, round exactly as one window did
     state.weighted_residual_spectrum -= shifted[:F]
     state.weighted_residual_spectrum -= shifted[F:]
-    state.nu += 1
     return state
 
 
 def synthesize_model(state: ModelState) -> NDArray[np.float64]:
-    """Evaluate each window's accumulated model on its grid."""
-    g = np.fft.ifft2(state.coef) * (state.M * state.N)
+    """Accumulate the recorded coefficients into ``state.coef`` and evaluate
+    each window's model on its grid.
+
+    One ``np.add.at`` in iteration order, bins before partners, sums every
+    coefficient in the order of one accumulation per iteration.
+    """
+    F, M, N = len(state.weight_sum), state.M, state.N
+    j = np.array([j for j, _ in state.updates])  # (iterations, F)
+    cc = np.array([cc for _, cc in state.updates])  # (iterations, 2F)
+    bins = _position_table(M, N).bins[:, j].transpose(1, 0, 2)  # (iterations, 2, F)
+    coef = np.zeros((F, M * N), dtype=np.complex128)
+    np.add.at(coef, (np.tile(np.arange(F), 2 * len(j)), bins.ravel()), cc.ravel())
+    state.coef = coef.reshape(F, M, N)
+    g = np.fft.ifft2(state.coef) * (M * N)
     return g.real
 
 
@@ -207,14 +257,13 @@ def _model_patches(
     prior_weights = stack_priors(priors)
     f = np.arange(len(ctxs))
     for _ in range(params.iterations):
-        p = projection_coefficients(state)
-        u, v = select_basis(p, prior_weights, state)
+        q = projection_coefficients(state)
+        j = select_basis(q, prior_weights)
         if traces is not None:
+            u, v = np.divmod(_selection_order(state.M, state.N)[j], state.N)
             for trace, uv in zip(traces, zip(u.tolist(), v.tolist())):
                 trace.append(uv)
-        p_uv = p[f, u, v]
-        del p  # frees the full projection before the update's temporaries
-        update_model(state, u, v, p_uv, params)
+        update_model(state, j, q[f, j], params)
     g = synthesize_model(state)
     return [_center_patch(ctx, gi) for ctx, gi in zip(ctxs, g)]
 
@@ -345,6 +394,9 @@ def reconstruct_image(
     """
     if (image.height, image.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
+    known_values = image.samples[mask.flags]
+    if known_values.size and (known_values.min() < 0.0 or known_values.max() > 255.0):
+        raise ValueError("known samples must lie in [0, 255]")
     H, W = image.height, image.width
     B = params.block_size
     n_rows, n_cols = -(-H // B), -(-W // B)
@@ -352,7 +404,7 @@ def reconstruct_image(
     out = np.where(mask.flags, image.samples, 0.0)
     recon_map = np.zeros((H, W), dtype=bool)
     known = mask.flags
-    global_mean = float(image.samples[known].mean()) if known.any() else 128.0
+    global_mean = float(known_values.mean()) if known_values.size else 128.0
 
     fallback_values = np.empty(n_rows * n_cols)
     seen_sum, seen_cnt = 0.0, 0

@@ -30,10 +30,9 @@ def _read_pnm_header(data: bytes, magic: bytes, n_fields: int) -> tuple[list[int
 def read_pgm(path: str | Path) -> ImageGrid:
     data = Path(path).read_bytes()
     (width, height, maxval), pos = _read_pnm_header(data, b"P5", 3)
-    if maxval <= 0 or maxval >= 65536:
-        raise ValueError(f"unsupported maxval {maxval}")
-    dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-    raw = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+    if not 0 < maxval <= 255:
+        raise ValueError(f"unsupported maxval {maxval}: only 8-bit PGM (maxval 1..255) is read")
+    raw = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return ImageGrid(raw.reshape(height, width).astype(np.float64))
 
 

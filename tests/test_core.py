@@ -3,7 +3,7 @@ import pytest
 
 from fsrecon.core import (
     _dft_exponentials,
-    _rolled_rows,
+    _position_table,
     _selection_order,
     init_model_state,
     projection_coefficients,
@@ -46,6 +46,15 @@ def full_ctx(values):
     )
 
 
+def bin_of(j, N):
+    """(u, v) of the selected position of window 0."""
+    return divmod(int(_selection_order(N, N)[j[0]]), N)
+
+
+def position_of(u, v, N):
+    return np.flatnonzero(_selection_order(N, N) == u * N + v)
+
+
 def brute_force_dft(x):
     M, N = x.shape
     out = np.zeros((M, N), dtype=complex)
@@ -81,7 +90,7 @@ class TestInitModelState:
         ctx = random_ctx(rng, M=8)
         wm = build_weight_map(ctx, FsrParams())
         state = init_model_state([ctx], [wm])
-        expected = brute_force_dft(ctx.values * wm.w)
+        expected = brute_force_dft(ctx.values * wm.w)[: 8 // 2 + 1]
         np.testing.assert_allclose(state.weighted_residual_spectrum[0], expected, atol=1e-9)
 
 
@@ -91,7 +100,7 @@ class TestProjections:
         p = FsrParams(rho_hat=1.0)
         state = init_model_state([ctx], [build_weight_map(ctx, p)])
         proj = projection_coefficients(state)
-        assert proj[0, 0, 0] == pytest.approx(7.0, rel=1e-12)
+        assert proj[0, 0] == pytest.approx(7.0, rel=1e-12)
 
     def test_zero_residual(self):
         ctx = full_ctx(np.zeros((8, 8)))
@@ -128,7 +137,7 @@ class TestSelectBasis:
         state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         prior = build_prior_map(PriorKind.OTF, 4, 4, 0.5, FsrParams())
         proj = projection_coefficients(state)
-        assert select_basis(proj, stack_priors([prior]), state) == (0, 0)
+        assert bin_of(select_basis(proj, stack_priors([prior])), 4) == (0, 0)
 
     def test_cosine_selects_its_frequency(self):
         M = 16
@@ -139,12 +148,12 @@ class TestSelectBasis:
         state = init_model_state([ctx], [build_weight_map(ctx, p)])
         prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
         proj = projection_coefficients(state)
-        u, v = select_basis(proj, stack_priors([prior]), state)
-        assert (u, v) == (0, 0)  # DC dominates first
-        update_model(state, u, v, proj[0, u, v], p)
+        j = select_basis(proj, stack_priors([prior]))
+        assert bin_of(j, M) == (0, 0)  # DC dominates first
+        update_model(state, j, proj[0, j], p)
         proj = projection_coefficients(state)
-        u, v = select_basis(proj, stack_priors([prior]), state)
-        assert (u, v) in [(3, 0), (M - 3, 0)]
+        j = select_basis(proj, stack_priors([prior]))
+        assert bin_of(j, M) in [(3, 0), (M - 3, 0)]
 
 
 class TestUpdateModel:
@@ -155,10 +164,10 @@ class TestUpdateModel:
         state = init_model_state([ctx], [build_weight_map(ctx, p)])
         prior = build_prior_map(PriorKind.NONE, 8, 8, 1.0, p)
         proj = projection_coefficients(state)
-        u, v = select_basis(proj, stack_priors([prior]), state)
-        update_model(state, u, v, proj[0, u, v], p)
+        j = select_basis(proj, stack_priors([prior]))
+        update_model(state, j, proj[0, j], p)
         proj2 = projection_coefficients(state)
-        assert abs(proj2[0, u, v]) < 1e-9
+        assert abs(proj2[0, j]) < 1e-9
 
     def test_gamma_halves_coefficient(self):
         rng = np.random.default_rng(6)
@@ -166,9 +175,11 @@ class TestUpdateModel:
         p = FsrParams(gamma=0.5)
         state = init_model_state([ctx], [build_weight_map(ctx, p)])
         proj = projection_coefficients(state)
-        update_model(state, np.array([1]), np.array([2]), proj[:, 1, 2], p)
-        assert state.coef[0, 1, 2] == 0.5 * proj[0, 1, 2]
-        assert state.coef[0, 7, 6] == np.conj(0.5 * proj[0, 1, 2])
+        j = position_of(1, 2, 8)
+        update_model(state, j, proj[:, j[0]], p)
+        synthesize_model(state)
+        assert state.coef[0, 1, 2] == 0.5 * proj[0, j[0]]
+        assert state.coef[0, 7, 6] == np.conj(0.5 * proj[0, j[0]])
 
     def test_spectrum_update_equals_spatial_oracle(self):
         rng = np.random.default_rng(7)
@@ -182,16 +193,17 @@ class TestUpdateModel:
         for _ in range(5):
             proj = projection_coefficients(state)
             prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
-            u, v = select_basis(proj, stack_priors([prior]), state)
-            c = p.gamma * proj[0, u, v]
+            j = select_basis(proj, stack_priors([prior]))
+            u, v = bin_of(j, M)
+            c = p.gamma * proj[0, j[0]]
             phi = np.exp(2j * np.pi * (mg * u / M + ng * v / M))
             if (2 * u) % M == 0 and (2 * v) % M == 0:
                 r = r - c.real * phi.real
             else:
                 r = r - 2.0 * (c * phi).real
-            update_model(state, u, v, proj[0, u, v], p)
+            update_model(state, j, proj[0, j], p)
             np.testing.assert_allclose(
-                state.weighted_residual_spectrum[0], np.fft.fft2(r * wm.w), atol=1e-6
+                state.weighted_residual_spectrum[0], np.fft.fft2(r * wm.w)[: M // 2 + 1], atol=1e-6
             )
 
     def test_conjugate_symmetry_of_coefficients(self):
@@ -202,11 +214,11 @@ class TestUpdateModel:
         prior = build_prior_map(PriorKind.ADAPTIVE, 8, 8, 0.5, p)
         for _ in range(20):
             proj = projection_coefficients(state)
-            u, v = select_basis(proj, stack_priors([prior]), state)
-            update_model(state, u, v, proj[0, u, v], p)
+            j = select_basis(proj, stack_priors([prior]))
+            update_model(state, j, proj[0, j], p)
+        g = synthesize_model(state)
         flipped = state.coef[0][(-np.arange(8)) % 8][:, (-np.arange(8)) % 8]
         np.testing.assert_allclose(state.coef[0], np.conj(flipped), atol=1e-12)
-        g = synthesize_model(state)
         assert np.max(np.abs(np.imag(np.fft.ifft2(state.coef[0]) * 64))) < 1e-6
         assert g.shape == (1, 8, 8)
 
@@ -216,15 +228,32 @@ class TestCachedTables:
         "table",
         [
             lambda: _selection_order(8, 8),
-            lambda: _rolled_rows(8),
+            lambda: _position_table(8, 8).rows,
+            lambda: _position_table(8, 8).cols,
+            lambda: _position_table(8, 8).bins,
+            lambda: _position_table(8, 8).self_conjugate,
             lambda: _dft_exponentials(8),
             lambda: decay_map(8, 8, 0.7),
         ],
-        ids=["selection_order", "rolled_rows", "dft_exponentials", "decay_map"],
+        ids=[
+            "selection_order",
+            "position_table.rows",
+            "position_table.cols",
+            "position_table.bins",
+            "position_table.self_conjugate",
+            "dft_exponentials",
+            "decay_map",
+        ],
     )
     def test_cached_table_is_read_only(self, table):
         with pytest.raises(ValueError):
             table()[0] = 0
+
+    @pytest.mark.parametrize("M", range(2, 65, 2))
+    def test_selection_lies_in_the_half_spectrum(self, M):
+        order = _selection_order(M, M)
+        assert len(order) == M * M // 2 + 2
+        assert order.max() // M <= M // 2
 
 
 class TestReconstructBlock:
@@ -316,6 +345,15 @@ class TestReconstructImage:
         res = reconstruct_image(img, mask, FsrParams(block_size=4, border=6, iterations=10))
         assert res.image.samples.shape == (18, 22)
         assert np.all(np.isfinite(res.image.samples))
+
+    @pytest.mark.parametrize("bad", [-1.0, 255.5, 1000.0])
+    def test_known_sample_out_of_range_raises(self, bad):
+        samples = np.full((8, 8), 100.0)
+        samples[3, 4] = bad
+        flags = np.zeros((8, 8), dtype=bool)
+        flags[3, 4] = flags[0, 0] = True
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            reconstruct_image(ImageGrid(samples), SamplingMask(flags), FsrParams(iterations=1))
 
     def test_single_pixel_mask(self):
         img = ImageGrid(np.full((12, 12), 200.0))

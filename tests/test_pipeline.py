@@ -146,6 +146,25 @@ class TestCli:
         )
         assert rc == 1
 
+    def test_reconstruct_16bit_pgm_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n4 4\n65535\n" + np.full(16, 1000, dtype=">u2").tobytes())
+        out = tmp_path / "out.pgm"
+        rc = cli_main(
+            [
+                "reconstruct",
+                "--input", str(path),
+                "--density", "0.5",
+                "--method", "fsr-ap",
+                "--output", str(out),
+            ]
+        )
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "maxval 65535" in err
+
     def test_bench_json_config(self, test_image, tmp_path):
         cfg = {
             "images": [test_image],

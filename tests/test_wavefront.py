@@ -55,6 +55,10 @@ def assert_matches_raster(image, mask, params, reference=False):
     got = reconstruct_image(image, mask, params, reference=reference)
     assert got.image.samples.tobytes() == want.tobytes()
     assert got.fallback_blocks == want_fallbacks
+    out = got.image.samples
+    assert out[mask.flags].tobytes() == image.samples[mask.flags].tobytes()
+    assert np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 255.0))
 
 
 @settings(max_examples=60, deadline=None)
