@@ -1,15 +1,9 @@
 """Block-wise frequency selective reconstruction of non-regularly sampled images."""
 
-from .baselines import linear_triangulation_fill, nearest_neighbor_fill
-from .core import (
-    ReconstructionResult,
-    reconstruct_block,
-    reconstruct_block_reference,
-    reconstruct_image,
-)
-from .grid import AreaLabel, BlockContext, ImageGrid, SamplingMask, generate_mask
-from .pipeline import ExperimentConfig, RunReport, psnr, run_experiment, sweep_tau
-from .priors import adaptive_prior, alpha_of_omega, build_prior_map, otf_prior
+from .core import reconstruct_block_reference, reconstruct_image
+from .grid import ImageGrid, SamplingMask, generate_mask
+from .pipeline import psnr
+from .priors import adaptive_prior, alpha_of_omega, otf_prior
 from .weighting import (
     FsrParams,
     PriorKind,
@@ -19,29 +13,18 @@ from .weighting import (
 )
 
 __all__ = [
-    "AreaLabel",
-    "BlockContext",
-    "ExperimentConfig",
     "FsrParams",
     "ImageGrid",
     "PriorKind",
-    "ReconstructionResult",
-    "RunReport",
     "SamplingMask",
     "adaptive_prior",
     "alpha_of_omega",
-    "build_prior_map",
     "build_weight_map",
     "effective_density",
     "generate_mask",
-    "linear_triangulation_fill",
-    "nearest_neighbor_fill",
     "otf_prior",
     "psnr",
-    "reconstruct_block",
     "reconstruct_block_reference",
     "reconstruct_image",
-    "run_experiment",
     "spatial_weight",
-    "sweep_tau",
 ]

@@ -5,18 +5,12 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from numpy.typing import NDArray
 from scipy.interpolate import LinearNDInterpolator
 from scipy.spatial import QhullError
 
-from .grid import ImageGrid, SamplingMask
+from .grid import ImageGrid, SamplingMask, check_inputs
 
 log = logging.getLogger(__name__)
-
-
-def _check_pair(image: ImageGrid, mask: SamplingMask) -> None:
-    if (image.height, image.width) != (mask.height, mask.width):
-        raise ValueError("image and mask dimensions differ")
 
 
 def nearest_neighbor_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid:
@@ -24,16 +18,12 @@ def nearest_neighbor_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid:
 
     Exact integer distances; ties go to the smallest (row, col).
     """
-    _check_pair(image, mask)
-    known_rc = np.argwhere(mask.flags)  # sorted by (row, col)
+    known_vals = check_inputs(image, mask)
+    known_rc = np.argwhere(mask.flags)  # sorted by (row, col), as known_vals
     if known_rc.shape[0] == 0:
         raise ValueError("mask holds no known samples")
     unknown_rc = np.argwhere(~mask.flags)
     out = image.samples.copy()
-    if unknown_rc.shape[0] == 0:
-        return ImageGrid(out)
-
-    known_vals = image.samples[known_rc[:, 0], known_rc[:, 1]]
     kr = known_rc[:, 0].astype(np.int64)
     kc = known_rc[:, 1].astype(np.int64)
     # chunked exact squared distances; argmin picks the first (smallest
@@ -54,25 +44,20 @@ def linear_triangulation_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid
     nearest-neighbor value.  Degenerate sample sets (fewer than three
     points, or all collinear) fall back to nearest-neighbor entirely.
     """
-    _check_pair(image, mask)
+    known_vals = check_inputs(image, mask)
     known_rc = np.argwhere(mask.flags)
-    if known_rc.shape[0] == 0:
-        raise ValueError("mask holds no known samples")
-    nn = nearest_neighbor_fill(image, mask)
+    nn = nearest_neighbor_fill(image, mask)  # raises on a mask without samples
     if known_rc.shape[0] < 3:
         log.warning("fewer than 3 known samples; using nearest-neighbor fill")
         return nn
-    known_vals = image.samples[known_rc[:, 0], known_rc[:, 1]]
     try:
         interp = LinearNDInterpolator(known_rc.astype(np.float64), known_vals)
     except QhullError:
         log.warning("degenerate (collinear) samples; using nearest-neighbor fill")
         return nn
     unknown_rc = np.argwhere(~mask.flags)
-    out = image.samples.copy()
-    if unknown_rc.shape[0]:
-        vals = interp(unknown_rc.astype(np.float64))
-        outside = np.isnan(vals)
-        vals[outside] = nn.samples[unknown_rc[outside, 0], unknown_rc[outside, 1]]
-        out[unknown_rc[:, 0], unknown_rc[:, 1]] = vals
+    vals = interp(unknown_rc.astype(np.float64))
+    inside = ~np.isnan(vals)  # outside the hull the nearest-neighbor value stays
+    out = nn.samples.copy()
+    out[unknown_rc[inside, 0], unknown_rc[inside, 1]] = vals[inside]
     return ImageGrid(out)

@@ -11,33 +11,20 @@ from pathlib import Path
 
 from . import imgio
 from .grid import generate_mask
-from .pipeline import METHODS, ExperimentConfig, run_experiment, run_method, sweep_tau
+from .pipeline import METHODS, ExperimentConfig, run_experiment, run_method
 from .weighting import FsrParams
 
 
-def _build_params(args: argparse.Namespace) -> FsrParams:
-    overrides = {
-        "tau": args.tau,
-        "rho_hat": args.rho,
-        "delta": args.delta,
-        "gamma": args.gamma,
-        "block_size": args.block,
-        "border": args.border,
-        "iterations": args.iters,
-    }
-    return dataclasses.replace(
-        FsrParams(), **{k: v for k, v in overrides.items() if v is not None}
-    )
-
-
-def _add_param_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--rho", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--block", type=int)
-    sub.add_argument("--border", type=int)
-    sub.add_argument("--iters", type=int)
+# reconstruct flag -> FsrParams field; the flag's type is the field's
+_PARAM_FLAGS = {
+    "tau": "tau",
+    "rho": "rho_hat",
+    "delta": "delta",
+    "gamma": "gamma",
+    "block": "block_size",
+    "border": "border",
+    "iters": "iterations",
+}
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -48,7 +35,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         if args.density is None:
             raise ValueError("either --mask or --density/--seed is required")
         mask = generate_mask(image.width, image.height, args.density, args.seed)
-    params = _build_params(args)
+    given = {name: getattr(args, flag) for flag, name in _PARAM_FLAGS.items()}
+    params = FsrParams(**{k: v for k, v in given.items() if v is not None})
     result = run_method(args.method, image, mask, params)
     imgio.write_pgm(args.output, result.image)
     if result.fallback_blocks:
@@ -56,11 +44,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config(path: str) -> tuple[ExperimentConfig, list[float] | None]:
-    """Parse a JSON or flat key=value experiment config.
-
-    Returns the config and, if present, a tau list requesting a sweep.
-    """
+def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
+    """Parse a JSON or flat key=value experiment config; ``output_dir`` overrides its own."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         raw = json.loads(text)
@@ -85,26 +70,20 @@ def _load_config(path: str) -> tuple[ExperimentConfig, list[float] | None]:
     overrides = {
         k: type(getattr(FsrParams(), k))(raw[k]) for k in param_fields if k in raw
     }
-    config = ExperimentConfig(
+    return ExperimentConfig(
         images=as_list(raw["images"], str),
         densities=as_list(raw["densities"], float),
         seeds=as_list(raw.get("seeds", [0]), int),
         methods=as_list(raw.get("methods", list(METHODS)), str),
-        params=dataclasses.replace(FsrParams(), **overrides),
-        output_dir=str(raw.get("output_dir", ".")),
+        params=FsrParams(**overrides),
+        output_dir=str(raw.get("output_dir", ".")) if output_dir is None else output_dir,
+        taus=as_list(raw["taus"], float) if "taus" in raw else None,
     )
-    taus = as_list(raw["taus"], float) if "taus" in raw else None
-    return config, taus
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config, taus = _load_config(args.config)
-    if args.out is not None:
-        config = dataclasses.replace(config, output_dir=args.out)
-    if taus is not None:
-        report = sweep_tau(config, taus)
-    else:
-        report = run_experiment(config)
+    config = _load_config(args.config, args.out)
+    report = run_experiment(config)
     print(f"{len(report.rows)} runs written to {config.output_dir}")
     return 0
 
@@ -121,7 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--method", required=True, choices=METHODS)
     rec.add_argument("--output", required=True)
-    _add_param_args(rec)
+    for flag, name in _PARAM_FLAGS.items():
+        rec.add_argument(f"--{flag}", type=type(getattr(FsrParams(), name)))
     rec.set_defaults(func=_cmd_reconstruct)
 
     bench = subs.add_parser("bench", help="run a benchmark sweep from a config file")

@@ -23,8 +23,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .grid import AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context
-from .priors import PriorMap, build_prior_map
+from .grid import (
+    AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs
+)
+from .priors import PriorMap, build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
 
 # Windows per kernel call.  Each 32x32 window adds about 110 kB to the
@@ -49,22 +51,12 @@ class ModelState:
     weighted_residual_spectrum: NDArray[np.complex128]
     shifted_weight_spectra: NDArray[np.complex128]
     weight_sum: NDArray[np.float64]
+    M: int
+    N: int
     updates: list[tuple[NDArray[np.intp], NDArray[np.complex128]]] = field(
         default_factory=list
     )
     coef: NDArray[np.complex128] | None = None
-
-    @property
-    def M(self) -> int:
-        return self.shifted_weight_spectra.shape[1]
-
-    @property
-    def N(self) -> int:
-        return self.shifted_weight_spectra.shape[3]
-
-    @property
-    def nu(self) -> int:
-        return len(self.updates)
 
 
 @dataclass(frozen=True)
@@ -81,14 +73,10 @@ def _selection_order(M: int, N: int) -> NDArray[np.intp]:
     index); ordered by folded radial frequency, then (k, l), so that a
     first-maximum argmax realizes the tie-breaking rule.
     """
-    k = np.arange(M)
-    l = np.arange(N)
-    kk, ll = np.meshgrid(k, l, indexing="ij")
+    kk, ll = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
     ck, cl = (M - kk) % M, (N - ll) % N
     canonical = (kk < ck) | ((kk == ck) & (ll <= cl))
-    kt = M / 2.0 - np.abs(kk - M / 2.0)
-    lt = N / 2.0 - np.abs(ll - N / 2.0)
-    radius = kt**2 / M**2 + lt**2 / N**2
+    radius = folded_radius_sq(kk, ll, M, N)
     order = np.lexsort((ll.ravel(), kk.ravel(), radius.ravel()))
     order = order[canonical.ravel()[order]]
     order.flags.writeable = False
@@ -135,6 +123,8 @@ def init_model_state(
             np.concatenate((W, W), axis=2), W.shape[2], axis=2
         ),
         weight_sum=np.array([wm.weight_sum for wm in weight_maps]),
+        M=w.shape[1],
+        N=w.shape[2],
     )
 
 
@@ -392,11 +382,7 @@ def reconstruct_image(
     and reported in ``fallback_blocks``, in raster order.
     ``reference=True`` runs the spatial-domain oracle on every block.
     """
-    if (image.height, image.width) != (mask.height, mask.width):
-        raise ValueError("image and mask dimensions differ")
-    known_values = image.samples[mask.flags]
-    if known_values.size and (known_values.min() < 0.0 or known_values.max() > 255.0):
-        raise ValueError("known samples must lie in [0, 255]")
+    known_values = check_inputs(image, mask)
     H, W = image.height, image.width
     B = params.block_size
     n_rows, n_cols = -(-H // B), -(-W // B)

@@ -125,6 +125,20 @@ def generate_mask(width: int, height: int, density: float, seed: int) -> Samplin
     return SamplingMask(flags.reshape(height, width))
 
 
+def check_inputs(image: ImageGrid, mask: SamplingMask) -> NDArray[np.float64]:
+    """Validate an image and its mask; return the known samples in raster order.
+
+    Rejects a mask whose size differs from the image and any known sample
+    outside [0, 255].
+    """
+    if (image.height, image.width) != (mask.height, mask.width):
+        raise ValueError("image and mask dimensions differ")
+    known = image.samples[mask.flags]
+    if known.size and (known.min() < 0.0 or known.max() > 255.0):
+        raise ValueError("known samples must lie in [0, 255]")
+    return known
+
+
 def build_block_context(
     image: ImageGrid,
     mask: SamplingMask,

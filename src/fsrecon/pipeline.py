@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import logging
 import math
 import time
@@ -62,10 +63,12 @@ class ExperimentConfig:
     methods: list[str]
     params: FsrParams = FsrParams()
     output_dir: str = "."
+    taus: list[float] | None = None  # a tau sweep of fsr-ap; methods then go unused
 
     def __post_init__(self):
-        if not self.images or not self.methods:
-            raise ValueError("need at least one image and one method")
+        for axis in ("images", "methods", "densities", "seeds", "taus"):
+            if getattr(self, axis) is not None and len(getattr(self, axis)) == 0:
+                raise ValueError(f"{axis} must not be empty")
         for d in self.densities:
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"density {d} outside (0, 1]")
@@ -85,9 +88,6 @@ class RunRow:
     seconds: float
     fallback_blocks: int
 
-    def key(self) -> tuple:
-        return (self.image, self.density, self.seed, self.method, self.tau)
-
 
 @dataclass
 class RunReport:
@@ -105,14 +105,6 @@ class RunReport:
             raise KeyError(f"no rows for method={method} density={density} tau={tau}")
         return float(np.mean(vals))
 
-    def mean_seconds(self, method: str, density: float | None = None) -> float:
-        vals = [
-            r.seconds
-            for r in self.rows
-            if r.method == method and (density is None or r.density == density)
-        ]
-        return float(np.mean(vals))
-
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -125,7 +117,7 @@ class RunReport:
                         r.seed,
                         r.method,
                         "" if r.tau is None else repr(r.tau),
-                        "inf" if math.isinf(r.psnr_db) else repr(r.psnr_db),
+                        repr(r.psnr_db),
                         repr(r.seconds),
                         r.fallback_blocks,
                     ]
@@ -152,71 +144,43 @@ class RunReport:
         return report
 
 
-def _run_one(
-    image_path: str,
-    image: ImageGrid,
-    density: float,
-    seed: int,
-    method: str,
-    params: FsrParams,
-) -> RunRow:
-    mask = generate_mask(image.width, image.height, density, seed)
-    t0 = time.perf_counter()
-    result = run_method(method, image, mask, params)
-    seconds = time.perf_counter() - t0
-    return RunRow(
-        image=image_path,
-        density=density,
-        seed=seed,
-        method=method,
-        tau=params.tau if method in _PRIOR_BY_METHOD else None,
-        psnr_db=psnr(image, result.image),
-        seconds=seconds,
-        fallback_blocks=len(result.fallback_blocks),
-    )
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    """Sweep (tau, image, density, seed, method); deterministic apart from timing.
 
-
-def run_experiment(config: ExperimentConfig, csv_name: str = "report.csv") -> RunReport:
-    """Sweep (image, density, seed, method); deterministic apart from timing."""
-    report = RunReport()
+    Without ``taus`` the sweep runs ``methods`` at ``params.tau`` and writes
+    ``report.csv``; with ``taus`` it runs ``fsr-ap`` at each tau and writes
+    ``tau_sweep.csv``.  Unreadable images are logged and skipped.
+    """
+    sweep = config.taus is not None
+    images = []
     for image_path in config.images:
         try:
-            image = read_image(image_path)
+            images.append((image_path, read_image(image_path)))
         except (OSError, ValueError) as exc:
             log.error("skipping %s: %s", image_path, exc)
-            continue
-        for density in config.densities:
-            for seed in config.seeds:
-                for method in config.methods:
-                    row = _run_one(image_path, image, density, seed, method, config.params)
-                    report.rows.append(row)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out_dir / csv_name)
-    return report
-
-
-def sweep_tau(config: ExperimentConfig, taus: list[float]) -> RunReport:
-    """Adaptive-prior runs across a list of tau values; rows keyed by tau."""
     report = RunReport()
-    for tau in taus:
-        cfg = dataclasses.replace(
-            config,
-            methods=["fsr-ap"],
-            params=dataclasses.replace(config.params, tau=tau),
-        )
-        for image_path in cfg.images:
-            try:
-                image = read_image(image_path)
-            except (OSError, ValueError) as exc:
-                log.error("skipping %s: %s", image_path, exc)
-                continue
-            for density in cfg.densities:
-                for seed in cfg.seeds:
-                    report.rows.append(
-                        _run_one(image_path, image, density, seed, "fsr-ap", cfg.params)
-                    )
+    for tau in config.taus if sweep else [config.params.tau]:
+        params = dataclasses.replace(config.params, tau=tau)
+        for (image_path, image), density, seed, method in itertools.product(
+            images, config.densities, config.seeds, ["fsr-ap"] if sweep else config.methods
+        ):
+            mask = generate_mask(image.width, image.height, density, seed)
+            t0 = time.perf_counter()
+            result = run_method(method, image, mask, params)
+            seconds = time.perf_counter() - t0
+            report.rows.append(
+                RunRow(
+                    image=image_path,
+                    density=density,
+                    seed=seed,
+                    method=method,
+                    tau=tau if method in _PRIOR_BY_METHOD else None,
+                    psnr_db=psnr(image, result.image),
+                    seconds=seconds,
+                    fallback_blocks=len(result.fallback_blocks),
+                )
+            )
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out_dir / "tau_sweep.csv")
+    report.write_csv(out_dir / ("tau_sweep.csv" if sweep else "report.csv"))
     return report

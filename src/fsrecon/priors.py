@@ -1,10 +1,12 @@
 """Frequency priors steering the greedy basis selection.
 
-The fixed prior mimics the optical transfer function of a diffraction
-limited system and suppresses high spatial frequencies quadratically.
-The adaptive prior raises the same base term to an exponent 2*alpha,
-where alpha is derived from the effective data density of the window:
-dense data flattens the prior, sparse data sharpens it towards low-pass.
+The prior at bin (k, l) is base ** (2*alpha), with base = 1 - sqrt(2) *
+sqrt(kt^2/M^2 + lt^2/N^2) clamped at 0 on the folded frequencies kt, lt.
+The fixed prior is the alpha = 1 case: it mimics the optical transfer
+function of a diffraction limited system and suppresses high spatial
+frequencies quadratically.  The adaptive prior derives alpha from the
+effective data density of the window: dense data flattens the prior,
+sparse data sharpens it towards low-pass.  alpha = 0 is the flat prior.
 """
 
 from __future__ import annotations
@@ -23,31 +25,28 @@ class PriorMap:
     """Per-frequency selection weights on the M x N frequency plane."""
 
     wf: NDArray[np.float64]
-    kind: PriorKind
     alpha: float
 
 
-def _folded_frequencies(M: int, N: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    k = np.arange(M, dtype=np.float64)
-    l = np.arange(N, dtype=np.float64)
-    kt = M / 2.0 - np.abs(k - M / 2.0)
-    lt = N / 2.0 - np.abs(l - N / 2.0)
-    return kt, lt
+def folded_radius_sq(k, l, M: int, N: int):
+    """Squared folded radial frequency kt^2/M^2 + lt^2/N^2 of bin (k, l).
+
+    Takes scalars or broadcastable index arrays.
+    """
+    kt = M / 2.0 - abs(k - M / 2.0)
+    lt = N / 2.0 - abs(l - N / 2.0)
+    return kt**2 / M**2 + lt**2 / N**2
 
 
-def _prior_base(M: int, N: int) -> NDArray[np.float64]:
-    # 1 - sqrt(2)*sqrt(kt^2/M^2 + lt^2/N^2), clamped at 0
-    kt, lt = _folded_frequencies(M, N)
-    root = np.sqrt(kt[:, None] ** 2 / M**2 + lt[None, :] ** 2 / N**2)
-    return np.maximum(0.0, 1.0 - math.sqrt(2.0) * root)
+def _prior(k, l, M: int, N: int, alpha: float):
+    # pow(x, 0) == 1 for every x, so alpha = 0 gives the flat prior, 0**0 included
+    base = np.maximum(0.0, 1.0 - math.sqrt(2.0) * np.sqrt(folded_radius_sq(k, l, M, N)))
+    return base ** (2.0 * alpha)
 
 
 def otf_prior(k: int, l: int, M: int, N: int) -> float:
     """Fixed low-pass prior at a single frequency index pair."""
-    kt = M / 2.0 - abs(k - M / 2.0)
-    lt = N / 2.0 - abs(l - N / 2.0)
-    base = 1.0 - math.sqrt(2.0) * math.sqrt(kt**2 / M**2 + lt**2 / N**2)
-    return max(0.0, base) ** 2
+    return adaptive_prior(k, l, M, N, 1.0)
 
 
 def alpha_of_omega(omega: float, params: FsrParams) -> float:
@@ -65,13 +64,12 @@ def alpha_of_omega(omega: float, params: FsrParams) -> float:
 
 
 def adaptive_prior(k: int, l: int, M: int, N: int, alpha: float) -> float:
-    """Density-adaptive prior: base ** (2*alpha), with 0**0 == 1."""
-    kt = M / 2.0 - abs(k - M / 2.0)
-    lt = N / 2.0 - abs(l - N / 2.0)
-    base = max(0.0, 1.0 - math.sqrt(2.0) * math.sqrt(kt**2 / M**2 + lt**2 / N**2))
-    if alpha == 0.0:
-        return 1.0
-    return base ** (2.0 * alpha)
+    """Density-adaptive prior: base ** (2*alpha), with 0**0 == 1.
+
+    Evaluated through the same array expression as ``build_prior_map``, so
+    it equals the map entry bit for bit.
+    """
+    return _prior(np.array([k]), np.array([l]), M, N, alpha).item()
 
 
 def build_prior_map(
@@ -79,15 +77,8 @@ def build_prior_map(
 ) -> PriorMap:
     if M % 2 != 0 or N % 2 != 0:
         raise ValueError("frequency plane dimensions must be even")
-    if kind == PriorKind.NONE:
-        return PriorMap(wf=np.ones((M, N)), kind=kind, alpha=1.0)
-    base = _prior_base(M, N)
-    if kind == PriorKind.OTF:
-        # float exponent keeps the map bit-identical to ADAPTIVE at alpha=1
-        return PriorMap(wf=base**2.0, kind=kind, alpha=1.0)
-    alpha = alpha_of_omega(omega, params)
-    if alpha == 0.0:
-        wf = np.ones((M, N))
+    if kind == PriorKind.ADAPTIVE:
+        alpha = alpha_of_omega(omega, params)
     else:
-        wf = base ** (2.0 * alpha)
-    return PriorMap(wf=wf, kind=kind, alpha=alpha)
+        alpha = 1.0 if kind == PriorKind.OTF else 0.0
+    return PriorMap(wf=_prior(np.arange(M)[:, None], np.arange(N), M, N, alpha), alpha=alpha)

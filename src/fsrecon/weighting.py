@@ -76,16 +76,12 @@ class WeightMap:
     weight_sum: float
 
 
-def _center_distance(M: int, N: int) -> NDArray[np.float64]:
-    m = np.arange(M, dtype=np.float64) - (M - 1) / 2.0
-    n = np.arange(N, dtype=np.float64) - (N - 1) / 2.0
-    return np.sqrt(m[:, None] ** 2 + n[None, :] ** 2)
-
-
 @lru_cache(maxsize=16)
 def decay_map(M: int, N: int, rho_hat: float) -> NDArray[np.float64]:
-    """Undamped decay rho_hat ** d over the full window."""
-    decay = rho_hat ** _center_distance(M, N)
+    """Undamped decay rho_hat ** d over the full window, d the distance to its center."""
+    m = np.arange(M, dtype=np.float64) - (M - 1) / 2.0
+    n = np.arange(N, dtype=np.float64) - (N - 1) / 2.0
+    decay = rho_hat ** np.sqrt(m[:, None] ** 2 + n[None, :] ** 2)
     decay.flags.writeable = False
     return decay
 
@@ -99,11 +95,8 @@ def spatial_weight(m: int, n: int, label: AreaLabel, M: int, N: int, params: Fsr
     """Weight of a single position: rho^d on A, delta*rho^d on R, else 0."""
     if label in (AreaLabel.B, AreaLabel.OUTSIDE):
         return 0.0
-    d = np.sqrt((m - (M - 1) / 2.0) ** 2 + (n - (N - 1) / 2.0) ** 2)
-    w = params.rho_hat ** d
-    if label == AreaLabel.R:
-        w *= params.delta
-    return float(w)
+    w = decay_map(M, N, params.rho_hat)[m, n]
+    return float(params.delta * w if label == AreaLabel.R else w)
 
 
 def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:

@@ -73,7 +73,7 @@ class TestInitModelState:
         ctx = full_ctx(np.zeros((8, 8)))
         state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         assert np.all(state.weighted_residual_spectrum == 0)
-        assert state.nu == 0
+        assert state.updates == []
 
     def test_constant_dc_bin(self):
         ctx = full_ctx(np.full((8, 8), 42.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 
 from fsrecon.cli import main as cli_main
-from fsrecon.grid import ImageGrid
+from fsrecon.grid import ImageGrid, SamplingMask
 from fsrecon.imgio import read_pgm, write_pgm
 from fsrecon.pipeline import (
+    METHODS,
     ExperimentConfig,
     RunReport,
     psnr,
     run_experiment,
-    sweep_tau,
+    run_method,
 )
 from fsrecon.weighting import FsrParams
 
@@ -57,8 +59,8 @@ class TestRunExperiment:
             methods=["nn"],
             output_dir=str(tmp_path),
         )
-        r1 = run_experiment(cfg, "a.csv")
-        r2 = run_experiment(cfg, "b.csv")
+        r1 = run_experiment(cfg)
+        r2 = run_experiment(cfg)
         assert [row.psnr_db for row in r1.rows] == [row.psnr_db for row in r2.rows]
 
     def test_csv_round_trip(self, test_image, tmp_path):
@@ -112,9 +114,48 @@ class TestSweepTau:
             output_dir=str(tmp_path),
         )
         direct = run_experiment(cfg)
-        swept = sweep_tau(cfg, [params.tau])
+        swept = run_experiment(dataclasses.replace(cfg, taus=[params.tau]))
         assert swept.rows[0].psnr_db == direct.rows[0].psnr_db
         assert swept.rows[0].tau == params.tau
+
+        # tau is the outermost axis: two taus over two readable images with
+        # an unreadable one between them give the per-tau direct runs in
+        # tau order, fsr-ap only whatever the methods
+        flipped = tmp_path / "flipped.pgm"
+        write_pgm(flipped, ImageGrid(read_pgm(test_image).samples[::-1]))
+        cfg = dataclasses.replace(
+            cfg,
+            images=[test_image, "/nonexistent/nope.pgm", str(flipped)],
+            densities=[0.3, 0.5],
+            seeds=[1, 2],
+            methods=["nn", "fsr-ap"],
+        )
+        taus = [1.0, 3.0]
+        swept = run_experiment(dataclasses.replace(cfg, taus=taus))
+        direct = []
+        for tau in taus:
+            one = dataclasses.replace(
+                cfg, methods=["fsr-ap"], params=dataclasses.replace(params, tau=tau)
+            )
+            direct += run_experiment(one).rows
+
+        def untimed(rows):
+            return [dataclasses.replace(r, seconds=0.0) for r in rows]
+
+        assert len(swept.rows) == 16
+        assert untimed(swept.rows) == untimed(direct)
+        assert [r.tau for r in swept.rows] == [1.0] * 8 + [3.0] * 8
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [-1.0, 255.5, 1000.0])
+def test_known_sample_out_of_range_raises_for_every_method(method, bad):
+    samples = np.full((8, 8), 100.0)
+    samples[3, 5] = bad
+    mask = SamplingMask(np.arange(64).reshape(8, 8) % 3 == 2)  # (3, 5) is known
+    params = FsrParams(block_size=4, border=2, iterations=5)
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        run_method(method, ImageGrid(samples), mask, params)
 
 
 class TestCli:
@@ -199,6 +240,18 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
         report = RunReport.read_csv(tmp_path / "sweep" / "tau_sweep.csv")
         assert sorted({r.tau for r in report.rows}) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("axis", ["densities", "seeds", "taus"])
+    def test_bench_empty_axis_exits_with_message(self, test_image, tmp_path, capsys, axis):
+        lines = [f"images={test_image}", "densities=0.5", "seeds=1", "methods=nn"]
+        lines = [ln for ln in lines if not ln.startswith(axis)] + [f"{axis}="]
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("\n".join(lines + [f"output_dir={tmp_path / 'out'}"]))
+        assert cli_main(["bench", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{axis} must not be empty" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("missing", ["images", "densities"])
     def test_bench_config_missing_key_exits_with_message(

@@ -106,6 +106,17 @@ class TestAdaptivePrior:
 
 
 class TestPriorMap:
+    @pytest.mark.parametrize("M", [2, 8, 32])
+    def test_scalars_equal_map_entries_exactly(self, M):
+        p = FsrParams()
+        otf = build_prior_map(PriorKind.OTF, M, M, 0.5, p).wf
+        for omega in (0.05, 0.3, 0.7, 1.0):
+            ap = build_prior_map(PriorKind.ADAPTIVE, M, M, omega, p)
+            for k in range(M):
+                for l in range(M):
+                    assert otf_prior(k, l, M, M) == otf[k, l]
+                    assert adaptive_prior(k, l, M, M, ap.alpha) == ap.wf[k, l]
+
     def test_none_is_all_ones(self):
         pm = build_prior_map(PriorKind.NONE, 32, 32, 0.5, FsrParams())
         assert np.all(pm.wf == 1.0)

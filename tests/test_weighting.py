@@ -104,6 +104,19 @@ class TestWeightMap:
             )
             assert wm.weight_sum == pytest.approx(brute, rel=1e-12)
 
+    def test_scalar_weights_equal_map_entries_exactly(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            M = 2 * int(rng.integers(2, 17))
+            labels = rng.integers(0, 4, size=(M, M)).astype(np.uint8)
+            p = FsrParams(rho_hat=float(rng.uniform(0.05, 1.0)), delta=float(rng.uniform(0.05, 1.0)))
+            wm = build_weight_map(make_ctx(labels), p)
+            scalar = [
+                [spatial_weight(m, n, AreaLabel(labels[m, n]), M, M, p) for n in range(M)]
+                for m in range(M)
+            ]
+            np.testing.assert_array_equal(np.array(scalar), wm.w)
+
 
 class TestEffectiveDensity:
     def test_all_known_is_one(self):
