@@ -24,7 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .grid import (
-    AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs
+    AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs,
+    pad_planes,
 )
 from .priors import PriorMap, build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
@@ -384,12 +385,10 @@ def reconstruct_image(
     """
     known_values = check_inputs(image, mask)
     H, W = image.height, image.width
-    B = params.block_size
+    B, b = params.block_size, params.border
     n_rows, n_cols = -(-H // B), -(-W // B)
 
-    out = np.where(mask.flags, image.samples, 0.0)
-    recon_map = np.zeros((H, W), dtype=bool)
-    known = mask.flags
+    labels, out = pad_planes(image, mask, B, b)
     global_mean = float(known_values.mean()) if known_values.size else 128.0
 
     fallback_values = np.empty(n_rows * n_cols)
@@ -397,35 +396,34 @@ def reconstruct_image(
     for i in range(n_rows * n_cols):  # raster order, as the sums must be
         r0, c0 = (i // n_cols) * B, (i % n_cols) * B
         fallback_values[i] = seen_sum / seen_cnt if seen_cnt else global_mean
-        blk_known = known[r0 : r0 + B, c0 : c0 + B]
+        blk_known = mask.flags[r0 : r0 + B, c0 : c0 + B]
         seen_sum += float(image.samples[r0 : r0 + B, c0 : c0 + B][blk_known].sum())
         seen_cnt += int(np.count_nonzero(blk_known))
 
     rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    front = cols + (-(-params.border // B) + 1) * rows
+    front = cols + (-(-b // B) + 1) * rows
     by_front = np.argsort(front, kind="stable")
     fallback_blocks: list[tuple[int, int]] = []
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
         origins = [(int(r) * B, int(c) * B) for r, c in zip(rows[members], cols[members])]
-        ctxs = [
-            build_block_context(image, mask, recon_map, out, o, B, params.border)
-            for o in origins
-        ]
+        ctxs = [build_block_context(labels, out, o, B, b) for o in origins]
         fbs = fallback_values[members]
         if reference:
             results = [reconstruct_block_reference(c, params, fb) for c, fb in zip(ctxs, fbs)]
         else:
             results = _reconstruct_blocks(ctxs, params, fbs)
         for (r0, c0), (patch, used_fb) in zip(origins, results):
-            r1, c1 = min(r0 + B, H), min(c0 + B, W)
-            fill = ~known[r0:r1, c0:c1]
-            out[r0:r1, c0:c1][fill] = patch[: r1 - r0, : c1 - c0][fill]
+            center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]
+            fill = labels[center] == AreaLabel.B
+            out[center][fill] = patch[fill]
             if used_fb:
                 fallback_blocks.append((r0, c0))
             else:
                 # fallback fills carry no signal model; they must not
                 # support later windows as reconstructed samples
-                recon_map[r0:r1, c0:c1][fill] = True
+                labels[center][fill] = AreaLabel.R
 
     fallback_blocks.sort()
-    return ReconstructionResult(image=ImageGrid(out), fallback_blocks=fallback_blocks)
+    return ReconstructionResult(
+        image=ImageGrid(out[b : b + H, b : b + W]), fallback_blocks=fallback_blocks
+    )

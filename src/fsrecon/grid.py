@@ -4,6 +4,8 @@ Each block to be reconstructed is embedded in a larger square window (the
 extrapolation area) whose pixels are partitioned into originally known
 samples (A), unknown samples (B), samples reconstructed by previously
 processed blocks (R), and positions beyond the image bounds (OUTSIDE).
+The image under reconstruction is held as a label plane and a value plane,
+padded with OUTSIDE so that every window is a plain slice of both.
 """
 
 from __future__ import annotations
@@ -77,14 +79,11 @@ class SamplingMask:
 class BlockContext:
     """One extrapolation area: an M x N window around the block to rebuild.
 
-    ``origin`` is the image coordinate (row, col) of the top-left pixel of
-    the center block.  The window spans image rows
-    ``origin[0] - border .. origin[0] + block_size + border - 1`` and the
-    analogous columns; positions outside the image carry the OUTSIDE label.
-    ``values`` is zero wherever the label is B or OUTSIDE.
+    The center block starts at window position ``(border, border)``;
+    positions outside the image carry the OUTSIDE label.  ``values`` is
+    zero wherever the label is B or OUTSIDE.
     """
 
-    origin: tuple[int, int]
     block_size: int
     border: int
     labels: NDArray[np.uint8]
@@ -139,53 +138,42 @@ def check_inputs(image: ImageGrid, mask: SamplingMask) -> NDArray[np.float64]:
     return known
 
 
+def pad_planes(
+    image: ImageGrid, mask: SamplingMask, block_size: int, border: int
+) -> tuple[NDArray[np.uint8], NDArray[np.float64]]:
+    """Label and value planes of an image: A/B labels and the known samples.
+
+    Both are padded with OUTSIDE and zero, by ``border`` on every side and
+    further to whole blocks at the bottom and right, so the window of every
+    block is a slice.  Image pixel (r, c) sits at plane position
+    (r + border, c + border).
+    """
+    H, W = image.height, image.width
+    shape = (-(-H // block_size) * block_size + 2 * border,
+             -(-W // block_size) * block_size + 2 * border)
+    labels = np.full(shape, AreaLabel.OUTSIDE, dtype=np.uint8)
+    values = np.zeros(shape)
+    inside = np.s_[border : border + H, border : border + W]
+    labels[inside] = np.where(mask.flags, AreaLabel.A, AreaLabel.B)
+    values[inside] = np.where(mask.flags, image.samples, 0.0)
+    return labels, values
+
+
 def build_block_context(
-    image: ImageGrid,
-    mask: SamplingMask,
-    recon_map: NDArray[np.bool_],
-    recon_values: NDArray[np.float64],
+    labels: NDArray[np.uint8],
+    values: NDArray[np.float64],
     block_pos: tuple[int, int],
     block_size: int,
     border: int,
 ) -> BlockContext:
-    """Assemble the extrapolation area for the block anchored at ``block_pos``.
+    """The extrapolation area of the block at image position ``block_pos``.
 
-    ``recon_map`` marks pixels filled by previously processed blocks (true
-    only where the mask is false); ``recon_values`` holds their values.
+    ``labels`` and ``values`` are planes from ``pad_planes`` in which the
+    pixels of earlier blocks may be relabelled R; values at B positions,
+    such as fallback fills, read as zero.
     """
-    if (image.height, image.width) != (mask.height, mask.width):
-        raise ValueError("image and mask dimensions differ")
-    if recon_map.shape != image.samples.shape:
-        raise ValueError("recon_map dimensions differ from image")
-
     M = block_size + 2 * border
-    r0 = block_pos[0] - border
-    c0 = block_pos[1] - border
-
-    labels = np.full((M, M), AreaLabel.OUTSIDE, dtype=np.uint8)
-    values = np.zeros((M, M), dtype=np.float64)
-
-    # intersection of the window with the image
-    ri0, ri1 = max(r0, 0), min(r0 + M, image.height)
-    ci0, ci1 = max(c0, 0), min(c0 + M, image.width)
-    if ri0 < ri1 and ci0 < ci1:
-        wr = slice(ri0 - r0, ri1 - r0)
-        wc = slice(ci0 - c0, ci1 - c0)
-        sub_mask = mask.flags[ri0:ri1, ci0:ci1]
-        sub_recon = recon_map[ri0:ri1, ci0:ci1]
-        lab = np.full(sub_mask.shape, AreaLabel.B, dtype=np.uint8)
-        lab[sub_recon] = AreaLabel.R
-        lab[sub_mask] = AreaLabel.A
-        labels[wr, wc] = lab
-        val = np.zeros(sub_mask.shape, dtype=np.float64)
-        val[sub_recon] = recon_values[ri0:ri1, ci0:ci1][sub_recon]
-        val[sub_mask] = image.samples[ri0:ri1, ci0:ci1][sub_mask]
-        values[wr, wc] = val
-
-    return BlockContext(
-        origin=tuple(block_pos),
-        block_size=block_size,
-        border=border,
-        labels=labels,
-        values=values,
-    )
+    win = np.s_[block_pos[0] : block_pos[0] + M, block_pos[1] : block_pos[1] + M]
+    lab = labels[win].copy()
+    data = (lab == AreaLabel.A) | (lab == AreaLabel.R)
+    return BlockContext(block_size, border, lab, np.where(data, values[win], 0.0))

@@ -29,9 +29,6 @@ _PRIOR_BY_METHOD = {
     "fsr-none": PriorKind.NONE,
 }
 
-CSV_HEADER = ["image", "density", "seed", "method", "tau", "psnr_db", "seconds", "fallback_blocks"]
-
-
 def psnr(reference: ImageGrid, test: ImageGrid) -> float:
     """Peak signal-to-noise ratio in dB for 8-bit imagery (peak 255)."""
     if reference.samples.shape != test.samples.shape:
@@ -72,6 +69,8 @@ class ExperimentConfig:
         for d in self.densities:
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"density {d} outside (0, 1]")
+        for t in self.taus or ():
+            dataclasses.replace(self.params, tau=t)  # FsrParams checks each tau
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -93,35 +92,11 @@ class RunRow:
 class RunReport:
     rows: list[RunRow] = field(default_factory=list)
 
-    def mean_psnr(self, method: str, density: float, tau: float | None = None) -> float:
-        vals = [
-            r.psnr_db
-            for r in self.rows
-            if r.method == method
-            and r.density == density
-            and (tau is None or r.tau == tau)
-        ]
-        if not vals:
-            raise KeyError(f"no rows for method={method} density={density} tau={tau}")
-        return float(np.mean(vals))
-
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.image,
-                        repr(r.density),
-                        r.seed,
-                        r.method,
-                        "" if r.tau is None else repr(r.tau),
-                        repr(r.psnr_db),
-                        repr(r.seconds),
-                        r.fallback_blocks,
-                    ]
-                )
+            writer.writerow(f.name for f in dataclasses.fields(RunRow))
+            writer.writerows(dataclasses.astuple(r) for r in self.rows)
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "RunReport":

@@ -47,7 +47,7 @@ def random_ctx(rng, M, density, block_size, border):
     labels = np.where(rng.random((M, M)) < density, AreaLabel.A, AreaLabel.B).astype(np.uint8)
     values = np.where(labels == AreaLabel.A, rng.uniform(0, 255, (M, M)), 0.0)
     return BlockContext(
-        origin=(0, 0), block_size=block_size, border=border, labels=labels, values=values
+        block_size=block_size, border=border, labels=labels, values=values
     )
 
 
@@ -112,7 +112,7 @@ def test_criterion_1_formula_unit_suite():
         values = np.where(
             (labels == AreaLabel.A) | (labels == AreaLabel.R), 1.0, 0.0
         )
-        ctx = BlockContext(origin=(0, 0), block_size=4, border=2, labels=labels, values=values)
+        ctx = BlockContext(block_size=4, border=2, labels=labels, values=values)
         p = f.FsrParams(rho_hat=float(rng.uniform(0.1, 1.0)), delta=float(rng.uniform(0.1, 1.0)))
         num = sum(
             f.spatial_weight(m, n, AreaLabel(labels[m, n]), M, M, p)

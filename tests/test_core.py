@@ -33,7 +33,7 @@ def random_ctx(rng, M=8, density=0.5, block_size=None, border=None):
     labels = np.where(rng.random((M, M)) < density, AreaLabel.A, AreaLabel.B).astype(np.uint8)
     values = np.where(labels == AreaLabel.A, rng.uniform(0, 255, (M, M)), 0.0)
     return BlockContext(
-        origin=(0, 0), block_size=block_size, border=border, labels=labels, values=values
+        block_size=block_size, border=border, labels=labels, values=values
     )
 
 
@@ -42,7 +42,7 @@ def full_ctx(values):
     M = values.shape[0]
     labels = np.full((M, M), AreaLabel.A, dtype=np.uint8)
     return BlockContext(
-        origin=(0, 0), block_size=M // 2, border=M // 4, labels=labels, values=values
+        block_size=M // 2, border=M // 4, labels=labels, values=values
     )
 
 
@@ -112,7 +112,7 @@ class TestProjections:
         labels[1, 2] = AreaLabel.A
         values = np.zeros((4, 4))
         values[1, 2] = 9.0
-        ctx = BlockContext(origin=(0, 0), block_size=2, border=1, labels=labels, values=values)
+        ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
         state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         proj = projection_coefficients(state)
         np.testing.assert_allclose(np.abs(proj), 9.0, rtol=1e-12)
@@ -120,7 +120,7 @@ class TestProjections:
     def test_empty_window_raises(self):
         labels = np.full((4, 4), AreaLabel.B, dtype=np.uint8)
         ctx = BlockContext(
-            origin=(0, 0), block_size=2, border=1, labels=labels, values=np.zeros((4, 4))
+            block_size=2, border=1, labels=labels, values=np.zeros((4, 4))
         )
         state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ class TestSelectBasis:
         labels[1, 2] = AreaLabel.A
         values = np.zeros((4, 4))
         values[1, 2] = 5.0
-        ctx = BlockContext(origin=(0, 0), block_size=2, border=1, labels=labels, values=values)
+        ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
         state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         prior = build_prior_map(PriorKind.OTF, 4, 4, 0.5, FsrParams())
         proj = projection_coefficients(state)
@@ -263,7 +263,7 @@ class TestReconstructBlock:
         labels = np.where(rng.random((M, M)) < 0.5, AreaLabel.A, AreaLabel.B).astype(np.uint8)
         labels[6:10, 6:10] = AreaLabel.A
         values = np.where(labels == AreaLabel.A, rng.uniform(0, 255, (M, M)), 0.0)
-        ctx = BlockContext(origin=(0, 0), block_size=4, border=6, labels=labels, values=values)
+        ctx = BlockContext(block_size=4, border=6, labels=labels, values=values)
         patch, fb = reconstruct_block(ctx, FsrParams(block_size=4, border=6, iterations=5))
         assert not fb
         np.testing.assert_array_equal(patch, values[6:10, 6:10])
@@ -273,7 +273,7 @@ class TestReconstructBlock:
         M, c = 32, 131.0
         labels = np.where(rng.random((M, M)) < 0.3, AreaLabel.A, AreaLabel.B).astype(np.uint8)
         values = np.where(labels == AreaLabel.A, c, 0.0)
-        ctx = BlockContext(origin=(0, 0), block_size=4, border=14, labels=labels, values=values)
+        ctx = BlockContext(block_size=4, border=14, labels=labels, values=values)
         patch, fb = reconstruct_block(ctx, FsrParams(prior_kind=PriorKind.ADAPTIVE))
         assert not fb
         np.testing.assert_allclose(patch, c, atol=0.5)
@@ -281,7 +281,7 @@ class TestReconstructBlock:
     def test_zero_data_fallback(self):
         labels = np.full((8, 8), AreaLabel.B, dtype=np.uint8)
         ctx = BlockContext(
-            origin=(0, 0), block_size=4, border=2, labels=labels, values=np.zeros((8, 8))
+            block_size=4, border=2, labels=labels, values=np.zeros((8, 8))
         )
         patch, fb = reconstruct_block(ctx, FsrParams(block_size=4, border=2), fallback_value=77.0)
         assert fb

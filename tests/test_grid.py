@@ -7,6 +7,7 @@ from fsrecon.grid import (
     SamplingMask,
     build_block_context,
     generate_mask,
+    pad_planes,
 )
 
 
@@ -47,11 +48,19 @@ def _blank(h, w):
     return ImageGrid(np.zeros((h, w)))
 
 
+def _context(img, mask, block_pos, block_size, border, recon=None):
+    """Window of a block; ``recon`` marks pixels relabelled R in the planes."""
+    labels, values = pad_planes(img, mask, block_size, border)
+    if recon is not None:
+        labels[border : border + img.height, border : border + img.width][recon] = AreaLabel.R
+    return build_block_context(labels, values, block_pos, block_size, border)
+
+
 class TestBuildBlockContext:
     def test_top_left_block_outside_labels(self):
         img = ImageGrid(np.arange(64, dtype=float).reshape(8, 8))
         mask = SamplingMask(np.ones((8, 8), dtype=bool))
-        ctx = build_block_context(img, mask, np.zeros((8, 8), bool), np.zeros((8, 8)), (0, 0), 4, 14)
+        ctx = _context(img, mask, (0, 0), 4, 14)
         # window rows/cols -14..17 relative to the image
         assert np.all(ctx.labels[:14, :] == AreaLabel.OUTSIDE)
         assert np.all(ctx.labels[:, :14] == AreaLabel.OUTSIDE)
@@ -60,13 +69,13 @@ class TestBuildBlockContext:
     def test_all_known_interior_block(self):
         img = _blank(64, 64)
         mask = SamplingMask(np.ones((64, 64), dtype=bool))
-        ctx = build_block_context(img, mask, np.zeros((64, 64), bool), np.zeros((64, 64)), (16, 16), 4, 14)
+        ctx = _context(img, mask, (16, 16), 4, 14)
         assert np.all(ctx.labels == AreaLabel.A)
 
     def test_all_unknown_first_block(self):
         img = _blank(64, 64)
         mask = SamplingMask(np.zeros((64, 64), dtype=bool))
-        ctx = build_block_context(img, mask, np.zeros((64, 64), bool), np.zeros((64, 64)), (16, 16), 4, 14)
+        ctx = _context(img, mask, (16, 16), 4, 14)
         assert np.all(ctx.labels == AreaLabel.B)
 
     def test_label_partition(self):
@@ -74,29 +83,38 @@ class TestBuildBlockContext:
         img = ImageGrid(rng.uniform(0, 255, (20, 20)))
         mask = SamplingMask(rng.random((20, 20)) < 0.5)
         recon = ~mask.flags & (rng.random((20, 20)) < 0.3)
-        ctx = build_block_context(img, mask, recon, np.zeros((20, 20)), (8, 8), 4, 6)
+        ctx = _context(img, mask, (8, 8), 4, 6, recon)
         counts = sum(np.count_nonzero(ctx.labels == lab) for lab in AreaLabel)
         assert counts == ctx.M * ctx.N
 
     def test_values_come_from_the_right_buffer(self):
+        # every block of a ragged 10x7 image, so windows run past the
+        # bottom and right edges into the whole-block padding
         rng = np.random.default_rng(4)
-        img = ImageGrid(rng.uniform(0, 255, (20, 20)))
-        mask = SamplingMask(rng.random((20, 20)) < 0.4)
-        recon = ~mask.flags
-        recon_vals = rng.uniform(0, 255, (20, 20))
-        ctx = build_block_context(img, mask, recon, recon_vals, (8, 8), 4, 2)
-        for m in range(ctx.M):
-            for n in range(ctx.N):
-                r, c = 8 - 2 + m, 8 - 2 + n
-                if ctx.labels[m, n] == AreaLabel.A:
-                    assert ctx.values[m, n] == img.samples[r, c]
-                elif ctx.labels[m, n] == AreaLabel.R:
-                    assert ctx.values[m, n] == recon_vals[r, c]
-                else:
-                    assert ctx.values[m, n] == 0.0
-
-    def test_dimension_mismatch(self):
-        img = _blank(8, 8)
-        mask = SamplingMask(np.ones((9, 8), dtype=bool))
-        with pytest.raises(ValueError):
-            build_block_context(img, mask, np.zeros((8, 8), bool), np.zeros((8, 8)), (0, 0), 4, 2)
+        H, W, B, b = 10, 7, 4, 3
+        img = ImageGrid(rng.uniform(0, 255, (H, W)))
+        mask = SamplingMask(rng.random((H, W)) < 0.4)
+        recon = ~mask.flags & (rng.random((H, W)) < 0.5)
+        fallback = ~mask.flags & ~recon & (rng.random((H, W)) < 0.5)
+        recon_vals = rng.uniform(1, 255, (H, W))
+        labels, values = pad_planes(img, mask, B, b)
+        inside = np.s_[b : b + H, b : b + W]
+        labels[inside][recon] = AreaLabel.R
+        values[inside][recon | fallback] = recon_vals[recon | fallback]
+        assert np.any(fallback)
+        for r0 in range(0, H, B):
+            for c0 in range(0, W, B):
+                ctx = build_block_context(labels, values, (r0, c0), B, b)
+                assert ctx.labels.shape == (B + 2 * b, B + 2 * b)
+                for m in range(ctx.M):
+                    for n in range(ctx.N):
+                        r, c = r0 - b + m, c0 - b + n
+                        if not (0 <= r < H and 0 <= c < W):
+                            want = (AreaLabel.OUTSIDE, 0.0)
+                        elif mask.flags[r, c]:
+                            want = (AreaLabel.A, img.samples[r, c])
+                        elif recon[r, c]:
+                            want = (AreaLabel.R, recon_vals[r, c])
+                        else:
+                            want = (AreaLabel.B, 0.0)
+                        assert (ctx.labels[m, n], ctx.values[m, n]) == want

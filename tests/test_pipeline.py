@@ -98,7 +98,10 @@ class TestRunExperiment:
             output_dir=str(tmp_path),
         )
         report = run_experiment(cfg)
-        means = [report.mean_psnr("lin", d) for d in cfg.densities]
+        means = [
+            np.mean([r.psnr_db for r in report.rows if (r.method, r.density) == ("lin", d)])
+            for d in cfg.densities
+        ]
         assert means == sorted(means)
 
 
@@ -156,6 +159,23 @@ def test_known_sample_out_of_range_raises_for_every_method(method, bad):
     params = FsrParams(block_size=4, border=2, iterations=5)
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
         run_method(method, ImageGrid(samples), mask, params)
+
+
+def test_mask_size_mismatch_raises_for_every_method():
+    image = ImageGrid(np.zeros((8, 8)))
+    mask = SamplingMask(np.ones((9, 8), dtype=bool))
+    params = FsrParams(block_size=4, border=2, iterations=5)
+    for method in METHODS:
+        with pytest.raises(ValueError, match="dimensions differ"):
+            run_method(method, image, mask, params)
+
+
+@pytest.mark.parametrize("taus", [[-1.0], [1.0, -1.0], [2.0, 0.0]])
+def test_config_rejects_a_non_positive_tau_before_running(taus):
+    with pytest.raises(ValueError, match=f"tau must be positive, got {taus[-1]}"):
+        ExperimentConfig(
+            images=["img.pgm"], densities=[0.5], seeds=[1], methods=["nn"], taus=taus
+        )
 
 
 class TestCli:

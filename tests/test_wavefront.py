@@ -12,35 +12,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsrecon.core import reconstruct_block, reconstruct_block_reference, reconstruct_image
-from fsrecon.grid import ImageGrid, SamplingMask, build_block_context
+from fsrecon.grid import AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes
 from fsrecon.weighting import FsrParams, PriorKind
 
 
 def raster_reconstruction(image, mask, params, block_fn):
     H, W = image.height, image.width
-    B = params.block_size
-    out = np.where(mask.flags, image.samples, 0.0)
-    recon_map = np.zeros((H, W), dtype=bool)
+    B, b = params.block_size, params.border
+    labels, out = pad_planes(image, mask, B, b)
     known = mask.flags
     global_mean = float(image.samples[known].mean()) if known.any() else 128.0
     seen_sum, seen_cnt = 0.0, 0
     fallback_blocks = []
     for r0 in range(0, H, B):
         for c0 in range(0, W, B):
-            ctx = build_block_context(image, mask, recon_map, out, (r0, c0), B, params.border)
+            ctx = build_block_context(labels, out, (r0, c0), B, b)
             fb = seen_sum / seen_cnt if seen_cnt else global_mean
             patch, used_fb = block_fn(ctx, params, fb)
-            r1, c1 = min(r0 + B, H), min(c0 + B, W)
-            blk_known = known[r0:r1, c0:c1]
-            fill = ~blk_known
-            out[r0:r1, c0:c1][fill] = patch[: r1 - r0, : c1 - c0][fill]
+            center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]
+            fill = labels[center] == AreaLabel.B
+            out[center][fill] = patch[fill]
             if used_fb:
                 fallback_blocks.append((r0, c0))
             else:
-                recon_map[r0:r1, c0:c1][fill] = True
-            seen_sum += float(image.samples[r0:r1, c0:c1][blk_known].sum())
+                labels[center][fill] = AreaLabel.R
+            blk_known = known[r0 : r0 + B, c0 : c0 + B]
+            seen_sum += float(image.samples[r0 : r0 + B, c0 : c0 + B][blk_known].sum())
             seen_cnt += int(np.count_nonzero(blk_known))
-    return out, fallback_blocks
+    return out[b : b + H, b : b + W], fallback_blocks
 
 
 def make_case(height, width, density, seed):

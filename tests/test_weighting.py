@@ -20,7 +20,7 @@ def make_ctx(labels, values=None, block_size=None, border=None):
         values = np.zeros_like(labels, dtype=float)
         values[(labels == AreaLabel.A) | (labels == AreaLabel.R)] = 1.0
     return BlockContext(
-        origin=(0, 0), block_size=block_size, border=border, labels=labels, values=values
+        block_size=block_size, border=border, labels=labels, values=values
     )
 
 
