@@ -44,6 +44,22 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
+# the method sets prior_kind, so a bench config may not
+_PARAM_KEYS = {f.name for f in dataclasses.fields(FsrParams)} - {"prior_kind"}
+_CONFIG_KEYS = _PARAM_KEYS | {"images", "densities", "seeds", "methods", "taus", "output_dir"}
+
+
+def _convert(key: str, value, conv):
+    """``conv(value)``; rejects None, bools and, for ints, non-integral numbers."""
+    try:
+        fraction = conv is int and isinstance(value, float) and not value.is_integer()
+        if value is None or isinstance(value, bool) or fraction:
+            raise ValueError
+        return conv(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"config key {key}: {value!r} is not a valid {conv.__name__}") from None
+
+
 def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
     """Parse a JSON or flat key=value experiment config; ``output_dir`` overrides its own."""
     text = Path(path).read_text()
@@ -58,26 +74,31 @@ def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
             key, _, value = line.partition("=")
             raw[key.strip()] = value.strip()
 
-    def as_list(v, conv):
+    def as_list(key, conv, default=None):
+        v = raw.get(key, default)
         if isinstance(v, str):
             v = [x for x in v.split(",") if x]
-        return [conv(x) for x in v]
+        if not isinstance(v, list):
+            raise ValueError(f"config key {key} must be a list, got {v!r}")
+        return [_convert(key, x, conv) for x in v]
 
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"config {path} has unknown key(s): {', '.join(unknown)}")
     missing = [key for key in ("images", "densities") if key not in raw]
     if missing:
         raise ValueError(f"config {path} lacks required key(s): {', '.join(missing)}")
-    param_fields = {f.name for f in dataclasses.fields(FsrParams)}
     overrides = {
-        k: type(getattr(FsrParams(), k))(raw[k]) for k in param_fields if k in raw
+        k: _convert(k, raw[k], type(getattr(FsrParams(), k))) for k in _PARAM_KEYS & set(raw)
     }
     return ExperimentConfig(
-        images=as_list(raw["images"], str),
-        densities=as_list(raw["densities"], float),
-        seeds=as_list(raw.get("seeds", [0]), int),
-        methods=as_list(raw.get("methods", list(METHODS)), str),
+        images=as_list("images", str),
+        densities=as_list("densities", float),
+        seeds=as_list("seeds", int, [0]),
+        methods=as_list("methods", str, list(METHODS)),
         params=FsrParams(**overrides),
-        output_dir=str(raw.get("output_dir", ".")) if output_dir is None else output_dir,
-        taus=as_list(raw["taus"], float) if "taus" in raw else None,
+        output_dir=output_dir or _convert("output_dir", raw.get("output_dir", "."), str),
+        taus=as_list("taus", float) if "taus" in raw else None,
     )
 
 

@@ -31,8 +31,8 @@ from .priors import PriorMap, build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
 
 # Windows per kernel call.  Each 32x32 window adds about 110 kB to the
-# kernel's peak allocation, so the cap bounds peak memory whatever the
-# image size.
+# kernel's peak allocation, which the cap bounds; the set-up arrays of a
+# front grow with its size F, about F*M*N*25 bytes.
 _MAX_STACK = 16
 
 
@@ -111,21 +111,24 @@ def _position_table(M: int, N: int) -> _PositionTable:
     return table
 
 
-def init_model_state(
-    ctxs: Sequence[BlockContext], weight_maps: Sequence[WeightMap]
-) -> ModelState:
-    """Initial state of a stack of equally sized windows."""
-    values = np.stack([ctx.values for ctx in ctxs])
-    w = np.stack([wm.w for wm in weight_maps])
+def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> ModelState:
+    """Initial state of a stack of windows, (F, M, N); an (M, N) window is a stack of one.
+
+    Rejects a window that holds no data: its weight sum, the projection
+    denominator of every frequency, is zero.
+    """
+    M, N = values.shape[-2:]
+    values, w = values.reshape(-1, M, N), weight_map.w.reshape(-1, M, N)
+    weight_sum = np.reshape(weight_map.weight_sum, -1)
+    if weight_sum.min() <= 0.0:
+        raise ValueError("weight sum is zero; the window holds no data")
     W = np.fft.fft2(w)
     return ModelState(
-        weighted_residual_spectrum=np.fft.fft2(values * w)[:, : w.shape[1] // 2 + 1].copy(),
-        shifted_weight_spectra=sliding_window_view(
-            np.concatenate((W, W), axis=2), W.shape[2], axis=2
-        ),
-        weight_sum=np.array([wm.weight_sum for wm in weight_maps]),
-        M=w.shape[1],
-        N=w.shape[2],
+        weighted_residual_spectrum=np.fft.fft2(values * w)[:, : M // 2 + 1].copy(),
+        shifted_weight_spectra=sliding_window_view(np.concatenate((W, W), axis=2), N, axis=2),
+        weight_sum=weight_sum,
+        M=M,
+        N=N,
     )
 
 
@@ -136,8 +139,6 @@ def projection_coefficients(state: ModelState) -> NDArray[np.complex128]:
     the plain weight sum, identical for every frequency.  Row-major flat
     indices of rows 0..M/2 are the same in the half and the full spectrum.
     """
-    if state.weight_sum.min() <= 0.0:
-        raise ValueError("weight sum is zero; the window holds no data")
     R = state.weighted_residual_spectrum
     q = np.take(R.reshape(len(R), -1), _selection_order(state.M, state.N), axis=1)
     q /= state.weight_sum[:, None]  # a true divide: 1/weight_sum can flip a zero's sign
@@ -225,68 +226,51 @@ def synthesize_model(state: ModelState) -> NDArray[np.float64]:
     return g.real
 
 
-def _center_patch(
-    ctx: BlockContext, g: NDArray[np.float64]
-) -> NDArray[np.float64]:
+def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Center blocks of the models ``g``, clipped, with the known samples passed through."""
     b, B = ctx.border, ctx.block_size
-    labels = ctx.labels[b : b + B, b : b + B]
-    patch = np.clip(g[b : b + B, b : b + B], 0.0, 255.0)
-    known = labels == AreaLabel.A
-    patch[known] = ctx.values[b : b + B, b : b + B][known]
+    center = np.s_[..., b : b + B, b : b + B]
+    patch = np.clip(g[center], 0.0, 255.0)
+    known = ctx.labels[center] == AreaLabel.A
+    patch[known] = ctx.values[center][known]
     return patch
 
 
-def _model_patches(
-    ctxs: Sequence[BlockContext],
-    weight_maps: Sequence[WeightMap],
-    priors: Sequence[PriorMap],
-    params: FsrParams,
-    traces: Sequence[list] | None,
-) -> list[NDArray[np.float64]]:
-    """Center patches of a stack of windows that hold data: the kernel."""
-    state = init_model_state(ctxs, weight_maps)
-    prior_weights = stack_priors(priors)
-    f = np.arange(len(ctxs))
-    for _ in range(params.iterations):
-        q = projection_coefficients(state)
-        j = select_basis(q, prior_weights)
-        if traces is not None:
-            u, v = np.divmod(_selection_order(state.M, state.N)[j], state.N)
-            for trace, uv in zip(traces, zip(u.tolist(), v.tolist())):
-                trace.append(uv)
-        update_model(state, j, q[f, j], params)
-    g = synthesize_model(state)
-    return [_center_patch(ctx, gi) for ctx, gi in zip(ctxs, g)]
-
-
 def _reconstruct_blocks(
-    ctxs: Sequence[BlockContext],
+    ctx: BlockContext,
     params: FsrParams,
-    fallback_values: Sequence[float],
+    fallback_values: NDArray[np.float64],
     traces: Sequence[list] | None = None,
-) -> list[tuple[NDArray[np.float64], bool]]:
-    """Center patches and fallback flags of independent windows, fast path.
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Center patches (F, B, B) and fallback flags (F,) of a stack of independent windows.
 
-    Set-up runs per window; the windows that hold data run through the
-    kernel in stacks of at most ``_MAX_STACK``.
+    Weights and omegas are built once for the stack.  A window without data
+    is filled with its fallback value; the others run through the kernel in
+    slices of at most ``_MAX_STACK``.
     """
-    results: list = [None] * len(ctxs)
-    stack = []
-    for i, (ctx, fallback_value) in enumerate(zip(ctxs, fallback_values)):
-        wm = build_weight_map(ctx, params)
-        omega = effective_density(ctx, wm, params)
-        if omega == 0.0:
-            fill = np.broadcast_to(float(fallback_value), (ctx.M, ctx.N))
-            results[i] = (_center_patch(ctx, fill), True)
-        else:
-            prior = build_prior_map(params.prior_kind, ctx.M, ctx.N, omega, params)
-            stack.append((i, ctx, wm, prior))
-    for s in range(0, len(stack), _MAX_STACK):
-        idx, cs, wms, pms = zip(*stack[s : s + _MAX_STACK])
-        ts = None if traces is None else [traces[i] for i in idx]
-        for i, patch in zip(idx, _model_patches(cs, wms, pms, params, ts)):
-            results[i] = (patch, False)
-    return results
+    wm = build_weight_map(ctx, params)
+    omega = effective_density(ctx, wm, params)
+    fallback = omega == 0.0
+    g = np.empty(ctx.values.shape)
+    g[fallback] = fallback_values[fallback, None, None]
+    live = np.flatnonzero(~fallback)
+    for s in range(0, len(live), _MAX_STACK):
+        idx = live[s : s + _MAX_STACK]
+        state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
+        prior_weights = stack_priors(
+            [build_prior_map(params.prior_kind, ctx.M, ctx.N, o, params) for o in omega[idx]]
+        )
+        f = np.arange(len(idx))
+        for _ in range(params.iterations):
+            q = projection_coefficients(state)
+            j = select_basis(q, prior_weights)
+            if traces is not None:
+                u, v = np.divmod(_selection_order(state.M, state.N)[j], state.N)
+                for i, uv in zip(idx, zip(u.tolist(), v.tolist())):
+                    traces[i].append(uv)
+            update_model(state, j, q[f, j], params)
+        g[idx] = synthesize_model(state)
+    return _center_patch(ctx, g), fallback
 
 
 def reconstruct_block(
@@ -301,8 +285,10 @@ def reconstruct_block(
     (window without any known or reconstructed sample), in which case the
     unknown center pixels are filled with ``fallback_value``.
     """
+    stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
-    return _reconstruct_blocks([ctx], params, [fallback_value], traces)[0]
+    patches, fallback = _reconstruct_blocks(stack, params, np.array([fallback_value]), traces)
+    return patches[0], bool(fallback[0])
 
 
 @lru_cache(maxsize=8)
@@ -366,10 +352,7 @@ def reconstruct_block_reference(
 
 
 def reconstruct_image(
-    image: ImageGrid,
-    mask: SamplingMask,
-    params: FsrParams,
-    reference: bool = False,
+    image: ImageGrid, mask: SamplingMask, params: FsrParams
 ) -> ReconstructionResult:
     """Block-wise reconstruction of a whole image, bit-identical to raster order.
 
@@ -377,53 +360,44 @@ def reconstruct_image(
     attenuated weight.  Blocks run in wavefronts t = col + k*row with
     k = ceil(border / block_size) + 1: a window reaches ceil(border /
     block_size) blocks to each side, so it overlaps no other block of its
-    front and no raster-later block of an earlier front.  Known samples
+    front and no raster-later block of an earlier front.  Each front is
+    gathered, reconstructed and pasted back as one stack.  Known samples
     pass through bit-identically.  Blocks whose window contains no data
     are filled with the mean of the known pixels in raster-earlier blocks
     and reported in ``fallback_blocks``, in raster order.
-    ``reference=True`` runs the spatial-domain oracle on every block.
     """
     known_values = check_inputs(image, mask)
     H, W = image.height, image.width
     B, b = params.block_size, params.border
-    n_rows, n_cols = -(-H // B), -(-W // B)
 
     labels, out = pad_planes(image, mask, B, b)
     global_mean = float(known_values.mean()) if known_values.size else 128.0
 
-    fallback_values = np.empty(n_rows * n_cols)
+    origins = np.mgrid[0:H:B, 0:W:B].reshape(2, -1).T  # block origins in raster order
+    fallback_values = np.empty(len(origins))
     seen_sum, seen_cnt = 0.0, 0
-    for i in range(n_rows * n_cols):  # raster order, as the sums must be
-        r0, c0 = (i // n_cols) * B, (i % n_cols) * B
+    for i, (r0, c0) in enumerate(origins):  # raster order, as the sums must be
         fallback_values[i] = seen_sum / seen_cnt if seen_cnt else global_mean
         blk_known = mask.flags[r0 : r0 + B, c0 : c0 + B]
         seen_sum += float(image.samples[r0 : r0 + B, c0 : c0 + B][blk_known].sum())
         seen_cnt += int(np.count_nonzero(blk_known))
 
-    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    front = cols + (-(-b // B) + 1) * rows
+    front = origins @ (-(-b // B) + 1, 1)  # B * (col + k*row)
     by_front = np.argsort(front, kind="stable")
-    fallback_blocks: list[tuple[int, int]] = []
+    fell_back = np.zeros(len(origins), dtype=bool)
+    # flat plane offsets of a center block from its block's image origin
+    cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
-        origins = [(int(r) * B, int(c) * B) for r, c in zip(rows[members], cols[members])]
-        ctxs = [build_block_context(labels, out, o, B, b) for o in origins]
-        fbs = fallback_values[members]
-        if reference:
-            results = [reconstruct_block_reference(c, params, fb) for c, fb in zip(ctxs, fbs)]
-        else:
-            results = _reconstruct_blocks(ctxs, params, fbs)
-        for (r0, c0), (patch, used_fb) in zip(origins, results):
-            center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]
-            fill = labels[center] == AreaLabel.B
-            out[center][fill] = patch[fill]
-            if used_fb:
-                fallback_blocks.append((r0, c0))
-            else:
-                # fallback fills carry no signal model; they must not
-                # support later windows as reconstructed samples
-                labels[center][fill] = AreaLabel.R
+        ctx = build_block_context(labels, out, origins[members], B, b)
+        patches, fell_back[members] = _reconstruct_blocks(ctx, params, fallback_values[members])
+        at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
+        fill = labels.flat[at] == AreaLabel.B
+        out.flat[at[fill]] = patches[fill]
+        # fallback fills carry no signal model; they must not support
+        # later windows as reconstructed samples
+        labels.flat[at[fill & ~fell_back[members, None, None]]] = AreaLabel.R
 
-    fallback_blocks.sort()
     return ReconstructionResult(
-        image=ImageGrid(out[b : b + H, b : b + W]), fallback_blocks=fallback_blocks
+        image=ImageGrid(out[b : b + H, b : b + W]),
+        fallback_blocks=[(int(r0), int(c0)) for r0, c0 in origins[fell_back]],
     )

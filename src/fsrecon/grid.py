@@ -5,7 +5,8 @@ extrapolation area) whose pixels are partitioned into originally known
 samples (A), unknown samples (B), samples reconstructed by previously
 processed blocks (R), and positions beyond the image bounds (OUTSIDE).
 The image under reconstruction is held as a label plane and a value plane,
-padded with OUTSIDE so that every window is a plain slice of both.
+padded with OUTSIDE so that every window is a plain slice of both; the
+windows of a wavefront are gathered from them as one (F, M, N) stack.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 
@@ -77,11 +79,13 @@ class SamplingMask:
 
 @dataclass(frozen=True)
 class BlockContext:
-    """One extrapolation area: an M x N window around the block to rebuild.
+    """Extrapolation areas: M x N windows around the blocks to rebuild.
 
-    The center block starts at window position ``(border, border)``;
-    positions outside the image carry the OUTSIDE label.  ``values`` is
-    zero wherever the label is B or OUTSIDE.
+    ``labels`` and ``values`` are one (M, N) window or a stack of them
+    with leading axes; M and N are the last two.  The center block starts
+    at window position ``(border, border)``; positions outside the image
+    carry the OUTSIDE label.  ``values`` is zero wherever the label is B or
+    OUTSIDE.
     """
 
     block_size: int
@@ -90,8 +94,8 @@ class BlockContext:
     values: NDArray[np.float64] = field(repr=False)
 
     def __post_init__(self):
-        M, N = self.labels.shape
-        if self.values.shape != (M, N):
+        M, N = self.labels.shape[-2:]
+        if self.values.shape != self.labels.shape:
             raise ValueError("labels and values shapes differ")
         if M != self.block_size + 2 * self.border or M != N:
             raise ValueError("window must be square with M = block_size + 2*border")
@@ -101,11 +105,11 @@ class BlockContext:
 
     @property
     def M(self) -> int:
-        return self.labels.shape[0]
+        return self.labels.shape[-2]
 
     @property
     def N(self) -> int:
-        return self.labels.shape[1]
+        return self.labels.shape[-1]
 
 
 def generate_mask(width: int, height: int, density: float, seed: int) -> SamplingMask:
@@ -162,18 +166,21 @@ def pad_planes(
 def build_block_context(
     labels: NDArray[np.uint8],
     values: NDArray[np.float64],
-    block_pos: tuple[int, int],
+    origins: tuple[int, int] | NDArray[np.intp],
     block_size: int,
     border: int,
 ) -> BlockContext:
-    """The extrapolation area of the block at image position ``block_pos``.
+    """The extrapolation areas of the blocks at image positions ``origins``.
 
-    ``labels`` and ``values`` are planes from ``pad_planes`` in which the
-    pixels of earlier blocks may be relabelled R; values at B positions,
-    such as fallback fills, read as zero.
+    One ``(r0, c0)`` pair gives one (M, N) window, an (F, 2) array a stack
+    of F.  ``labels`` and ``values`` are planes from ``pad_planes`` in which
+    the pixels of earlier blocks may be relabelled R; values at B
+    positions, such as fallback fills, read as zero.  The labels are a copy,
+    so relabelling the planes later leaves the context unchanged.
     """
     M = block_size + 2 * border
-    win = np.s_[block_pos[0] : block_pos[0] + M, block_pos[1] : block_pos[1] + M]
-    lab = labels[win].copy()
+    r, c = np.asarray(origins).T
+    lab = np.array(sliding_window_view(labels, (M, M))[r, c])
     data = (lab == AreaLabel.A) | (lab == AreaLabel.R)
-    return BlockContext(block_size, border, lab, np.where(data, values[win], 0.0))
+    vals = np.where(data, sliding_window_view(values, (M, M))[r, c], 0.0)
+    return BlockContext(block_size, border, lab, vals)

@@ -70,10 +70,10 @@ class FsrParams:
 
 @dataclass(frozen=True)
 class WeightMap:
-    """Per-pixel spatial weights of one extrapolation area."""
+    """Per-pixel spatial weights of extrapolation areas and their sum per window."""
 
     w: NDArray[np.float64]
-    weight_sum: float
+    weight_sum: NDArray[np.float64]
 
 
 @lru_cache(maxsize=16)
@@ -84,11 +84,6 @@ def decay_map(M: int, N: int, rho_hat: float) -> NDArray[np.float64]:
     decay = rho_hat ** np.sqrt(m[:, None] ** 2 + n[None, :] ** 2)
     decay.flags.writeable = False
     return decay
-
-
-@lru_cache(maxsize=16)
-def _decay_sum(M: int, N: int, rho_hat: float) -> float:
-    return float(np.sum(decay_map(M, N, rho_hat)))
 
 
 def spatial_weight(m: int, n: int, label: AreaLabel, M: int, N: int, params: FsrParams) -> float:
@@ -103,13 +98,15 @@ def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:
     decay = decay_map(ctx.M, ctx.N, params.rho_hat)
     w = np.where(ctx.labels == AreaLabel.A, decay, 0.0)
     w += np.where(ctx.labels == AreaLabel.R, params.delta * decay, 0.0)
-    return WeightMap(w=w, weight_sum=float(np.sum(w)))
+    return WeightMap(w=w, weight_sum=np.sum(w, axis=(-2, -1)))
 
 
-def effective_density(ctx: BlockContext, weight_map: WeightMap, params: FsrParams) -> float:
-    """Fraction of effectively available data in the window, in [0, 1].
+def effective_density(
+    ctx: BlockContext, weight_map: WeightMap, params: FsrParams
+) -> NDArray[np.float64]:
+    """Fraction of effectively available data in each window, in [0, 1].
 
     Ratio of the summed weights on A and R to the undamped decay mass over
     the whole window (including B and OUTSIDE positions).
     """
-    return weight_map.weight_sum / _decay_sum(ctx.M, ctx.N, params.rho_hat)
+    return weight_map.weight_sum / np.sum(decay_map(ctx.M, ctx.N, params.rho_hat))

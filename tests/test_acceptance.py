@@ -176,7 +176,7 @@ def test_criterion_3_invariant_suite():
         omega = effective_density(ctx, wm, p)
         ok &= 0.0 <= omega <= 1.0
         prior = build_prior_map(f.PriorKind.ADAPTIVE, 16, 16, omega, p)
-        state = init_model_state([ctx], [wm])
+        state = init_model_state(ctx.values, wm)
         for _ in range(100):
             proj = projection_coefficients(state)
             j = select_basis(proj, stack_priors([prior]))

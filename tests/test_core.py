@@ -71,14 +71,14 @@ def brute_force_dft(x):
 class TestInitModelState:
     def test_zero_values(self):
         ctx = full_ctx(np.zeros((8, 8)))
-        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
+        state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
         assert np.all(state.weighted_residual_spectrum == 0)
         assert state.updates == []
 
     def test_constant_dc_bin(self):
         ctx = full_ctx(np.full((8, 8), 42.0))
         p = FsrParams(rho_hat=1.0)
-        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        state = init_model_state(ctx.values, build_weight_map(ctx, p))
         spec = state.weighted_residual_spectrum[0]
         assert spec[0, 0] == pytest.approx(42.0 * 64, rel=1e-12)
         off_dc = np.abs(spec).copy()
@@ -89,7 +89,7 @@ class TestInitModelState:
         rng = np.random.default_rng(31)
         ctx = random_ctx(rng, M=8)
         wm = build_weight_map(ctx, FsrParams())
-        state = init_model_state([ctx], [wm])
+        state = init_model_state(ctx.values, wm)
         expected = brute_force_dft(ctx.values * wm.w)[: 8 // 2 + 1]
         np.testing.assert_allclose(state.weighted_residual_spectrum[0], expected, atol=1e-9)
 
@@ -98,13 +98,13 @@ class TestProjections:
     def test_constant_residual_dc(self):
         ctx = full_ctx(np.full((8, 8), 7.0))
         p = FsrParams(rho_hat=1.0)
-        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        state = init_model_state(ctx.values, build_weight_map(ctx, p))
         proj = projection_coefficients(state)
         assert proj[0, 0] == pytest.approx(7.0, rel=1e-12)
 
     def test_zero_residual(self):
         ctx = full_ctx(np.zeros((8, 8)))
-        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
+        state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
         assert np.all(projection_coefficients(state) == 0)
 
     def test_single_sample_constant_magnitude(self):
@@ -113,7 +113,7 @@ class TestProjections:
         values = np.zeros((4, 4))
         values[1, 2] = 9.0
         ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
-        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
+        state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
         proj = projection_coefficients(state)
         np.testing.assert_allclose(np.abs(proj), 9.0, rtol=1e-12)
 
@@ -122,9 +122,8 @@ class TestProjections:
         ctx = BlockContext(
             block_size=2, border=1, labels=labels, values=np.zeros((4, 4))
         )
-        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
         with pytest.raises(ValueError):
-            projection_coefficients(state)
+            init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
 
 
 class TestSelectBasis:
@@ -134,7 +133,7 @@ class TestSelectBasis:
         values = np.zeros((4, 4))
         values[1, 2] = 5.0
         ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
-        state = init_model_state([ctx], [build_weight_map(ctx, FsrParams())])
+        state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
         prior = build_prior_map(PriorKind.OTF, 4, 4, 0.5, FsrParams())
         proj = projection_coefficients(state)
         assert bin_of(select_basis(proj, stack_priors([prior])), 4) == (0, 0)
@@ -145,7 +144,7 @@ class TestSelectBasis:
         values = 100.0 + 50.0 * np.cos(2 * np.pi * 3 * m / M) * np.ones((1, M))
         ctx = full_ctx(values)
         p = FsrParams(rho_hat=1.0, gamma=1.0)
-        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        state = init_model_state(ctx.values, build_weight_map(ctx, p))
         prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
         proj = projection_coefficients(state)
         j = select_basis(proj, stack_priors([prior]))
@@ -161,7 +160,7 @@ class TestUpdateModel:
         rng = np.random.default_rng(5)
         ctx = full_ctx(rng.uniform(0, 255, (8, 8)))
         p = FsrParams(rho_hat=1.0, gamma=1.0)
-        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        state = init_model_state(ctx.values, build_weight_map(ctx, p))
         prior = build_prior_map(PriorKind.NONE, 8, 8, 1.0, p)
         proj = projection_coefficients(state)
         j = select_basis(proj, stack_priors([prior]))
@@ -173,7 +172,7 @@ class TestUpdateModel:
         rng = np.random.default_rng(6)
         ctx = full_ctx(rng.uniform(0, 255, (8, 8)))
         p = FsrParams(gamma=0.5)
-        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        state = init_model_state(ctx.values, build_weight_map(ctx, p))
         proj = projection_coefficients(state)
         j = position_of(1, 2, 8)
         update_model(state, j, proj[:, j[0]], p)
@@ -186,7 +185,7 @@ class TestUpdateModel:
         ctx = random_ctx(rng, M=8)
         p = FsrParams(gamma=0.5)
         wm = build_weight_map(ctx, p)
-        state = init_model_state([ctx], [wm])
+        state = init_model_state(ctx.values, wm)
         r = ctx.values.copy()
         M = 8
         mg, ng = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
@@ -210,7 +209,7 @@ class TestUpdateModel:
         rng = np.random.default_rng(12)
         ctx = random_ctx(rng, M=8)
         p = FsrParams()
-        state = init_model_state([ctx], [build_weight_map(ctx, p)])
+        state = init_model_state(ctx.values, build_weight_map(ctx, p))
         prior = build_prior_map(PriorKind.ADAPTIVE, 8, 8, 0.5, p)
         for _ in range(20):
             proj = projection_coefficients(state)

@@ -102,19 +102,27 @@ class TestBuildBlockContext:
         labels[inside][recon] = AreaLabel.R
         values[inside][recon | fallback] = recon_vals[recon | fallback]
         assert np.any(fallback)
-        for r0 in range(0, H, B):
-            for c0 in range(0, W, B):
-                ctx = build_block_context(labels, values, (r0, c0), B, b)
-                assert ctx.labels.shape == (B + 2 * b, B + 2 * b)
-                for m in range(ctx.M):
-                    for n in range(ctx.N):
-                        r, c = r0 - b + m, c0 - b + n
-                        if not (0 <= r < H and 0 <= c < W):
-                            want = (AreaLabel.OUTSIDE, 0.0)
-                        elif mask.flags[r, c]:
-                            want = (AreaLabel.A, img.samples[r, c])
-                        elif recon[r, c]:
-                            want = (AreaLabel.R, recon_vals[r, c])
-                        else:
-                            want = (AreaLabel.B, 0.0)
-                        assert (ctx.labels[m, n], ctx.values[m, n]) == want
+        origins = [(r0, c0) for r0 in range(0, H, B) for c0 in range(0, W, B)]
+        ctxs = [build_block_context(labels, values, o, B, b) for o in origins]
+        stacked = build_block_context(labels, values, np.array(origins), B, b)
+        assert stacked.labels.shape == (len(origins), B + 2 * b, B + 2 * b)
+        assert np.array_equal(stacked.labels, [ctx.labels for ctx in ctxs])
+        assert np.array_equal(stacked.values, [ctx.values for ctx in ctxs])
+        kept = stacked.labels.copy(), [ctx.labels.copy() for ctx in ctxs]
+        labels[inside] = AreaLabel.R  # the planes are relabelled after every front
+        assert np.array_equal(stacked.labels, kept[0])
+        assert all(np.array_equal(ctx.labels, k) for ctx, k in zip(ctxs, kept[1]))
+        for (r0, c0), ctx in zip(origins, ctxs):
+            assert ctx.labels.shape == (B + 2 * b, B + 2 * b)
+            for m in range(ctx.M):
+                for n in range(ctx.N):
+                    r, c = r0 - b + m, c0 - b + n
+                    if not (0 <= r < H and 0 <= c < W):
+                        want = (AreaLabel.OUTSIDE, 0.0)
+                    elif mask.flags[r, c]:
+                        want = (AreaLabel.A, img.samples[r, c])
+                    elif recon[r, c]:
+                        want = (AreaLabel.R, recon_vals[r, c])
+                    else:
+                        want = (AreaLabel.B, 0.0)
+                    assert (ctx.labels[m, n], ctx.values[m, n]) == want

@@ -285,3 +285,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"lacks required key(s): {missing}" in err
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("seed=5", "seed"),  # a typo for seeds
+            ('"prior_kind": "otf"', "prior_kind"),  # the method sets the prior
+            ('"densities": 0.3', "densities"),
+            ('"densities": null', "densities"),
+            ('"seeds": [1.7]', "seeds"),
+            ('"iterations": true', "iterations"),
+            ("iterations=2.5", "iterations"),
+        ],
+    )
+    def test_bench_malformed_config_exits_with_message(
+        self, test_image, tmp_path, capsys, entry, key
+    ):
+        out = tmp_path / "out"
+        if "=" in entry:
+            lines = [f"images={test_image}", "densities=0.5", "methods=nn", entry]
+            cfg_path = tmp_path / "cfg.txt"
+            cfg_path.write_text("\n".join(lines + [f"output_dir={out}"]))
+        else:
+            cfg = {"images": [test_image], "densities": [0.5], "methods": ["fsr-ap"]}
+            cfg.update(json.loads("{" + entry + "}"))
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
+        assert cli_main(["bench", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
+        assert not out.exists()
