@@ -27,12 +27,20 @@ def _read_pnm_header(data: bytes, magic: bytes, n_fields: int) -> tuple[list[int
     return fields, pos + 1  # single whitespace after the last header field
 
 
+def _read_payload(path: str | Path, data: bytes, pos: int, nbytes: int) -> np.ndarray:
+    """The ``nbytes`` pixel bytes from ``pos`` on; a clear error if fewer remain."""
+    have = max(0, len(data) - pos)
+    if have < nbytes:
+        raise ValueError(f"{path}: truncated pixel data: expected {nbytes} bytes, got {have}")
+    return np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos)
+
+
 def read_pgm(path: str | Path) -> ImageGrid:
     data = Path(path).read_bytes()
     (width, height, maxval), pos = _read_pnm_header(data, b"P5", 3)
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported maxval {maxval}: only 8-bit PGM (maxval 1..255) is read")
-    raw = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    raw = _read_payload(path, data, pos, width * height)
     return ImageGrid(raw.reshape(height, width).astype(np.float64))
 
 
@@ -46,7 +54,7 @@ def read_pbm(path: str | Path) -> SamplingMask:
     data = Path(path).read_bytes()
     (width, height), pos = _read_pnm_header(data, b"P4", 2)
     row_bytes = (width + 7) // 8
-    raw = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height, offset=pos)
+    raw = _read_payload(path, data, pos, row_bytes * height)
     bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
     # PBM convention: 1 = black; we store 1 = sample available
     return SamplingMask(bits.astype(bool))

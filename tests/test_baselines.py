@@ -1,24 +1,93 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import LinearNDInterpolator
+from scipy.spatial import QhullError
 
+from fsrecon import baselines
 from fsrecon.baselines import linear_triangulation_fill, nearest_neighbor_fill
 from fsrecon.grid import ImageGrid, SamplingMask, generate_mask
 
 
 def brute_force_nn(image, mask):
+    """Every (unknown, known) squared distance; argmin takes the first of the
+    ties, which is the smallest (row, col) because known is (row, col) sorted."""
     known = np.argwhere(mask.flags)
+    unknown = np.argwhere(~mask.flags)
     out = image.samples.copy()
-    for r in range(image.height):
-        for c in range(image.width):
-            if mask.flags[r, c]:
-                continue
-            best = None
-            for kr, kc in known:  # known is (row, col) sorted
-                d2 = (r - kr) ** 2 + (c - kc) ** 2
-                if best is None or d2 < best[0]:
-                    best = (d2, kr, kc)
-            out[r, c] = image.samples[best[1], best[2]]
+    d2 = (unknown[:, :1] - known[None, :, 0]) ** 2 + (unknown[:, 1:] - known[None, :, 1]) ** 2
+    out[~mask.flags] = image.samples[mask.flags][np.argmin(d2, axis=1)]
     return out
+
+
+def brute_force_lin(image, mask):
+    """Delaunay interpolant inside the hull, brute-force nearest neighbour elsewhere."""
+    known = np.argwhere(mask.flags)
+    out = brute_force_nn(image, mask)
+    if known.shape[0] < 3:
+        return out
+    try:
+        interp = LinearNDInterpolator(known.astype(np.float64), image.samples[mask.flags])
+    except QhullError:
+        return out
+    unknown = np.argwhere(~mask.flags)
+    vals = interp(unknown.astype(np.float64))
+    inside = ~np.isnan(vals)
+    out[unknown[inside, 0], unknown[inside, 1]] = vals[inside]
+    return out
+
+
+def tie_heavy_mask(kind, height, width, stride, density, seed):
+    rng = np.random.default_rng(seed)
+    flags = np.zeros((height, width), dtype=bool)
+    if kind == "grid":
+        flags[rng.integers(stride) :: stride, rng.integers(stride) :: stride] = True
+    elif kind == "corners":
+        flags[0, 0] = flags[-1, -1] = True
+    elif kind == "anti-corners":
+        flags[0, -1] = flags[-1, 0] = True
+    elif kind == "all-but-one":
+        flags[:] = True
+        flags[rng.integers(height), rng.integers(width)] = False
+    elif kind == "row":
+        flags[rng.integers(height), :] = True
+    elif kind == "column":
+        flags[:, rng.integers(width)] = True
+    elif kind == "random":
+        flags = rng.random((height, width)) < density
+    if not flags.any():  # "single", and masks drawn empty
+        flags[rng.integers(height), rng.integers(width)] = True
+    return SamplingMask(flags)
+
+
+def assert_both_match_brute_force(image, mask):
+    got = nearest_neighbor_fill(image, mask).samples
+    assert got.tobytes() == brute_force_nn(image, mask).tobytes()
+    got = linear_triangulation_fill(image, mask).samples
+    assert got.tobytes() == brute_force_lin(image, mask).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["grid", "corners", "anti-corners", "single", "all-but-one", "row", "column", "random"]
+    ),
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    stride=st.integers(2, 5),
+    density=st.floats(0.005, 0.99),
+    seed=st.integers(0, 2**16),
+)
+def test_tie_heavy_masks_match_brute_force(kind, height, width, stride, density, seed):
+    image = ImageGrid(np.random.default_rng(seed).uniform(0, 255, (height, width)))
+    assert_both_match_brute_force(image, tie_heavy_mask(kind, height, width, stride, density, seed))
+
+
+@pytest.mark.parametrize("density", [0.01, 0.1, 0.3, 0.8])
+def test_64x64_matches_brute_force(density):
+    image = ImageGrid(np.random.default_rng(9).uniform(0, 255, (64, 64)))
+    assert_both_match_brute_force(image, generate_mask(64, 64, density, 9))
 
 
 class TestNearestNeighbor:
@@ -110,3 +179,37 @@ class TestLinearTriangulation:
         img.samples[2, 2] = img.samples[6, 5] = 25.0
         out = linear_triangulation_fill(img, SamplingMask(flags))
         assert np.all(out.samples == 25.0)
+
+    def test_nearest_neighbour_only_outside_the_hull(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        img = ImageGrid(rng.uniform(0, 255, (16, 16)))
+        flags = np.zeros((16, 16), dtype=bool)
+        flags[0, 8] = flags[8, 0] = flags[15, 8] = flags[8, 15] = True  # a diamond hull
+        flags[5:11, 5:11] = rng.random((6, 6)) < 0.5
+        mask = SamplingMask(flags)
+        known, unknown = np.argwhere(flags), np.argwhere(~flags)
+        interp = LinearNDInterpolator(known.astype(np.float64), img.samples[flags])
+        vals = interp(unknown.astype(np.float64))
+        outside = np.isnan(vals)
+        assert np.isnan(interp([[0, 0], [0, 15], [15, 0], [15, 15]])).all()
+
+        queries, nn_calls = [], []
+        nearest_known = baselines._nearest_known
+
+        def counted_nearest_known(known_rc, query_rc):
+            queries.append(query_rc.copy())
+            return nearest_known(known_rc, query_rc)
+
+        monkeypatch.setattr(baselines, "_nearest_known", counted_nearest_known)
+        monkeypatch.setattr(
+            baselines, "nearest_neighbor_fill", lambda *args: nn_calls.append(args)
+        )
+        out = linear_triangulation_fill(img, mask).samples
+
+        assert nn_calls == []
+        assert len(queries) == 1
+        np.testing.assert_array_equal(queries[0], unknown[outside])
+        rows, cols = unknown.T
+        assert out[rows[~outside], cols[~outside]].tobytes() == vals[~outside].tobytes()
+        expected = brute_force_nn(img, mask)[rows[outside], cols[outside]]
+        assert out[rows[outside], cols[outside]].tobytes() == expected.tobytes()

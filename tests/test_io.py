@@ -45,3 +45,17 @@ def test_pgm_clamps_and_rounds(tmp_path):
     write_pgm(path, img)
     back = read_pgm(path)
     np.testing.assert_array_equal(back.samples, [[0.0, 13.0], [255.0, 99.0]])
+
+
+def test_pgm_truncated_payload(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+    with pytest.raises(ValueError, match=r"short\.pgm: .*expected 16 bytes, got 10"):
+        read_pgm(path)
+
+
+def test_pbm_truncated_payload(tmp_path):
+    path = tmp_path / "short.pbm"
+    path.write_bytes(b"P4\n12 3\n" + bytes(4))  # 2 bytes per row
+    with pytest.raises(ValueError, match=r"short\.pbm: .*expected 6 bytes, got 4"):
+        read_pbm(path)

@@ -226,6 +226,26 @@ class TestCli:
         assert err.startswith("error: ")
         assert "maxval 65535" in err
 
+    @pytest.mark.parametrize("truncated", ["input", "mask"])
+    def test_reconstruct_truncated_file_exits_with_message(
+        self, test_image, tmp_path, capsys, truncated
+    ):
+        short_pgm = tmp_path / "short.pgm"
+        short_pgm.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+        short_pbm = tmp_path / "short.pbm"
+        short_pbm.write_bytes(b"P4\n32 32\n" + bytes(100))  # 128 bytes expected
+        inputs = {
+            "input": ["--input", str(short_pgm), "--density", "0.5"],
+            "mask": ["--input", test_image, "--mask", str(short_pbm)],
+        }[truncated]
+        out = tmp_path / "out.pgm"
+        rc = cli_main(["reconstruct", *inputs, "--method", "nn", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "truncated pixel data" in err
+
     def test_bench_json_config(self, test_image, tmp_path):
         cfg = {
             "images": [test_image],
