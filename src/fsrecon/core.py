@@ -30,12 +30,6 @@ from .grid import (
 from .priors import PriorMap, build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
 
-# Windows per kernel call.  Each 32x32 window adds about 110 kB to the
-# kernel's peak allocation, which the cap bounds; the set-up arrays of a
-# front grow with its size F, about F*M*N*25 bytes.
-_MAX_STACK = 16
-
-
 @dataclass
 class ModelState:
     """Mutable state of the greedy model generation for a stack of F windows.
@@ -245,17 +239,16 @@ def _reconstruct_blocks(
     """Center patches (F, B, B) and fallback flags (F,) of a stack of independent windows.
 
     Weights and omegas are built once for the stack.  A window without data
-    is filled with its fallback value; the others run through the kernel in
-    slices of at most ``_MAX_STACK``.
+    is filled with its fallback value; the others run through the kernel
+    as one stack, whose peak allocation is about 130 kB per 32x32 window.
     """
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
     fallback = omega == 0.0
     g = np.empty(ctx.values.shape)
     g[fallback] = fallback_values[fallback, None, None]
-    live = np.flatnonzero(~fallback)
-    for s in range(0, len(live), _MAX_STACK):
-        idx = live[s : s + _MAX_STACK]
+    idx = np.flatnonzero(~fallback)
+    if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
         prior_weights = stack_priors(
             [build_prior_map(params.prior_kind, ctx.M, ctx.N, o, params) for o in omega[idx]]
@@ -316,7 +309,7 @@ def reconstruct_block_reference(
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
     if omega == 0.0:
-        return reconstruct_block(ctx, params, fallback_value, None)
+        return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
     M, N = ctx.M, ctx.N
     prior = build_prior_map(params.prior_kind, M, N, omega, params)

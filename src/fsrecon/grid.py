@@ -119,6 +119,8 @@ def generate_mask(width: int, height: int, density: float, seed: int) -> Samplin
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n_pixels = width * height
     n_known = round(density * n_pixels)
     rng = np.random.default_rng(seed)

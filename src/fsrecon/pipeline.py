@@ -69,6 +69,9 @@ class ExperimentConfig:
         for d in self.densities:
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"density {d} outside (0, 1]")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seeds must be non-negative, got {seed}")
         for t in self.taus or ():
             dataclasses.replace(self.params, tau=t)  # FsrParams checks each tau
         for m in self.methods:

@@ -19,6 +19,9 @@ from numpy.typing import NDArray
 
 from .weighting import FsrParams, PriorKind
 
+# the adaptive exponent's clamp; omega = 0 maps to it
+ALPHA_MAX = 32.0
+
 
 @dataclass(frozen=True)
 class PriorMap:
@@ -52,15 +55,15 @@ def otf_prior(k: int, l: int, M: int, N: int) -> float:
 def alpha_of_omega(omega: float, params: FsrParams) -> float:
     """Map effective density to the adaptive-prior exponent, -ln(omega)/tau.
 
-    Clamped to [0, alpha_max]; omega -> 1 flattens the prior (alpha -> 0),
+    Clamped to [0, ALPHA_MAX]; omega -> 1 flattens the prior (alpha -> 0),
     omega -> 0 drives it towards a pure low-pass (alpha at the clamp).
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
     if omega == 0.0:
-        return params.alpha_max
+        return ALPHA_MAX
     alpha = -math.log(omega) / params.tau
-    return min(max(alpha, 0.0), params.alpha_max)
+    return min(max(alpha, 0.0), ALPHA_MAX)
 
 
 def adaptive_prior(k: int, l: int, M: int, N: int, alpha: float) -> float:

@@ -41,7 +41,6 @@ class FsrParams:
     border: int = 14
     iterations: int = 100
     prior_kind: PriorKind = PriorKind.ADAPTIVE
-    alpha_max: float = 32.0
 
     def __post_init__(self):
         if not 0.0 < self.rho_hat <= 1.0:
@@ -50,14 +49,12 @@ class FsrParams:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:  # NaN included
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.block_size < 1 or self.border < 0:
             raise ValueError("block_size must be >= 1 and border >= 0")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.alpha_max <= 0.0:
-            raise ValueError(f"alpha_max must be positive, got {self.alpha_max}")
         if self.window_size % 2 != 0:
             raise ValueError(
                 f"window size block_size + 2*border = {self.window_size} must be even"

@@ -26,7 +26,7 @@ from fsrecon.core import (
     update_model,
 )
 from fsrecon.grid import AreaLabel, BlockContext
-from fsrecon.priors import build_prior_map
+from fsrecon.priors import ALPHA_MAX, build_prior_map
 from fsrecon.weighting import build_weight_map, effective_density
 
 SEEDS = (1, 2, 3)
@@ -94,7 +94,7 @@ def test_criterion_1_formula_unit_suite():
             rel_tol=1e-12,
             abs_tol=1e-15,
         )
-        expected_alpha = min(max(-math.log(omega) / tau, 0.0), p.alpha_max)
+        expected_alpha = min(max(-math.log(omega) / tau, 0.0), ALPHA_MAX)
         ok &= math.isclose(f.alpha_of_omega(omega, p), expected_alpha, rel_tol=1e-12)
         d = math.hypot(m - (M - 1) / 2, n - (M - 1) / 2)
         ok &= math.isclose(

@@ -170,12 +170,18 @@ def test_mask_size_mismatch_raises_for_every_method():
             run_method(method, image, mask, params)
 
 
-@pytest.mark.parametrize("taus", [[-1.0], [1.0, -1.0], [2.0, 0.0]])
+@pytest.mark.parametrize("taus", [[-1.0], [1.0, -1.0], [2.0, 0.0], [float("nan")]])
 def test_config_rejects_a_non_positive_tau_before_running(taus):
     with pytest.raises(ValueError, match=f"tau must be positive, got {taus[-1]}"):
         ExperimentConfig(
             images=["img.pgm"], densities=[0.5], seeds=[1], methods=["nn"], taus=taus
         )
+
+
+@pytest.mark.parametrize("seeds", [[-1], [1, -1], [0, 2, -3]])
+def test_config_rejects_a_negative_seed_before_running(seeds):
+    with pytest.raises(ValueError, match=f"seeds must be non-negative, got {seeds[-1]}"):
+        ExperimentConfig(images=["img.pgm"], densities=[0.5], seeds=seeds, methods=["nn"])
 
 
 class TestCli:
@@ -206,6 +212,33 @@ class TestCli:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tau", "nan"], "tau must be positive, got nan"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_reconstruct_bad_value_exits_with_message(
+        self, test_image, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "out.pgm"
+        rc = cli_main(
+            [
+                "reconstruct",
+                "--input", test_image,
+                "--density", "0.5",
+                "--method", "fsr-ap",
+                "--output", str(out),
+                *flags,
+            ]
+        )
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_reconstruct_16bit_pgm_exits_with_message(self, tmp_path, capsys):
         path = tmp_path / "deep.pgm"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fsrecon.priors import adaptive_prior, alpha_of_omega, build_prior_map, otf_prior
+from fsrecon.priors import (
+    ALPHA_MAX, adaptive_prior, alpha_of_omega, build_prior_map, otf_prior,
+)
 from fsrecon.weighting import FsrParams, PriorKind
 
 
@@ -58,7 +60,8 @@ class TestAlphaOfOmega:
         )
 
     def test_zero_density_clamps(self):
-        p = FsrParams(alpha_max=32.0)
+        p = FsrParams()
+        assert ALPHA_MAX == 32.0
         assert alpha_of_omega(0.0, p) == 32.0
         assert alpha_of_omega(1e-300, p) == 32.0
 

@@ -174,6 +174,7 @@ class TestFsrParams:
             {"delta": 0.0},
             {"gamma": 2.0},
             {"tau": 0.0},
+            {"tau": float("nan")},
             {"iterations": 0},
             {"block_size": 3, "border": 0},  # odd window size
         ],
