@@ -20,12 +20,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .grid import (
     AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs,
-    pad_planes,
+    pad_planes, plane_windows,
 )
 from .priors import PriorMap, build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
@@ -36,15 +36,19 @@ class ModelState:
 
     The weighted residual spectrum is kept for rows 0..M/2 only: every bin
     of ``_selection_order`` lies there, and the rest follows by Hermitian
-    symmetry.  ``shifted_weight_spectra[f, m, s]`` is row m of window f's
-    weight spectrum rolled by N - s columns: a view into the spectrum
-    tiled twice along its columns.  ``updates`` records, per iteration, the
-    selected positions and the coefficients of the bins and their partners;
-    ``synthesize_model`` accumulates them into ``coef``.
+    symmetry.  Each window's weight spectrum is tiled 2x2 into a (2M, 2N)
+    tile, so the spectrum shifted by any bin (u, v), restricted to rows
+    0..M/2, is a plain (M/2+1, N) slab of the tile.  ``weight_slabs[o]`` is
+    the slab that starts at flat element o of the stacked tiles; window f's
+    slab for a bin starts at ``tile_offsets[f]`` plus the bin's entry of
+    ``_position_table(M, N).offsets``.  ``updates`` records, per iteration,
+    the selected positions and the coefficients of the bins and their
+    partners; ``synthesize_model`` accumulates them into ``coef``.
     """
 
     weighted_residual_spectrum: NDArray[np.complex128]
-    shifted_weight_spectra: NDArray[np.complex128]
+    weight_slabs: NDArray[np.complex128]
+    tile_offsets: NDArray[np.intp]
     weight_sum: NDArray[np.float64]
     M: int
     N: int
@@ -52,6 +56,21 @@ class ModelState:
         default_factory=list
     )
     coef: NDArray[np.complex128] | None = None
+    # per-stack caches of the per-iteration layers: views of the residual
+    # as (F, (M/2+1)*N) rows and as one flat run with each row's start
+    residual_rows: NDArray[np.complex128] = field(init=False, repr=False)
+    residual_flat: NDArray[np.complex128] = field(init=False, repr=False)
+    row_starts: NDArray[np.intp] = field(init=False, repr=False)
+    order: NDArray[np.intp] = field(init=False, repr=False)
+    inv_weight_sum: NDArray[np.float64] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        F = len(self.weight_sum)
+        self.residual_rows = self.weighted_residual_spectrum.reshape(F, -1)
+        self.residual_flat = self.residual_rows.reshape(-1)
+        self.row_starts = np.arange(F) * self.residual_rows.shape[1]
+        self.order = _selection_order(self.M, self.N)
+        self.inv_weight_sum = (1.0 / self.weight_sum)[:, None]
 
 
 @dataclass(frozen=True)
@@ -81,22 +100,27 @@ def _selection_order(M: int, N: int) -> NDArray[np.intp]:
 class _PositionTable(NamedTuple):
     """Update indices of each position of ``_selection_order``.
 
-    Axis 0 of ``rows``, ``cols`` and ``bins`` is (bin, conjugate partner).
+    Axis 0 of ``offsets`` and ``bins`` is (bin, conjugate partner).
     """
 
-    rows: NDArray[np.intp]  # (2, P, M/2+1) source rows of the rolled half spectrum
-    cols: NDArray[np.intp]  # (2, P) start columns in the tiled weight spectrum
+    offsets: NDArray[np.intp]  # (2, P) slab starts in a window's (2M, 2N) weight tile
     bins: NDArray[np.intp]  # (2, P) flat bin indices into the full spectrum
     self_conjugate: NDArray[np.bool_]  # (P,)
 
 
 @lru_cache(maxsize=8)
 def _position_table(M: int, N: int) -> _PositionTable:
+    """Slab offsets, bins and self-conjugacy of each position.
+
+    The slab of bin (u, v) starts at tile row (M - u) % M and column
+    (N - v) % N, so that its element (k, l) is W[(k - u) % M, (l - v) % N].
+    Both starts are below M and N, so the slab's last row, at most
+    M - 1 + M/2, and last column, at most 2N - 2, lie inside the tile.
+    """
     u, v = np.divmod(_selection_order(M, N), N)
     uu, vv = np.stack((u, (M - u) % M)), np.stack((v, (N - v) % N))
     table = _PositionTable(
-        rows=(np.arange(M // 2 + 1) - uu[..., None]) % M,
-        cols=N - vv,
+        offsets=((M - uu) % M) * (2 * N) + (N - vv) % N,
         bins=uu * N + vv,
         self_conjugate=(uu[1] == u) & (vv[1] == v),
     )
@@ -116,10 +140,17 @@ def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> Mode
     weight_sum = np.reshape(weight_map.weight_sum, -1)
     if weight_sum.min() <= 0.0:
         raise ValueError("weight sum is zero; the window holds no data")
-    W = np.fft.fft2(w)
+    tiles = np.tile(np.fft.fft2(w), (1, 2, 2))  # (F, 2M, 2N)
+    half, step = M // 2 + 1, tiles.strides[-1]
+    # every slab start a window's offsets can name, and no element beyond the tiles
+    slabs = as_strided(
+        tiles, shape=(tiles.size - (half - 1) * 2 * N - N + 1, half, N),
+        strides=(step, 2 * N * step, step), writeable=False,
+    )
     return ModelState(
-        weighted_residual_spectrum=np.fft.fft2(values * w)[:, : M // 2 + 1].copy(),
-        shifted_weight_spectra=sliding_window_view(np.concatenate((W, W), axis=2), N, axis=2),
+        weighted_residual_spectrum=np.fft.fft2(values * w)[:, :half].copy(),
+        weight_slabs=slabs,
+        tile_offsets=np.arange(len(w)) * (4 * M * N),
         weight_sum=weight_sum,
         M=M,
         N=N,
@@ -132,10 +163,17 @@ def projection_coefficients(state: ModelState) -> NDArray[np.complex128]:
     The unit-modulus basis makes the projection denominator collapse to
     the plain weight sum, identical for every frequency.  Row-major flat
     indices of rows 0..M/2 are the same in the half and the full spectrum.
+
+    The components are multiplied by 1/weight_sum rather than divided.
+    numpy's complex-by-real divide computes (re + im*0)*(1/ws) and
+    (im - re*0)*(1/ws), which differs from the multiply only in the sign
+    of a zero; ``select_basis`` squares every component, so the selection
+    is the same.  ``update_model`` takes its coefficients from the true
+    divide, whose zeros the model keeps.
     """
-    R = state.weighted_residual_spectrum
-    q = np.take(R.reshape(len(R), -1), _selection_order(state.M, state.N), axis=1)
-    q /= state.weight_sum[:, None]  # a true divide: 1/weight_sum can flip a zero's sign
+    q = np.take(state.residual_rows, state.order, axis=1)
+    parts = q.view(np.float64)
+    np.multiply(parts, state.inv_weight_sum, out=parts)
     return q
 
 
@@ -157,48 +195,53 @@ def select_basis(
     mathematically equal objectives and the update treats the pair as a
     unit.  An all-zero objective yields DC.
     """
+    return _selection_objective(q, prior_weights).argmax(axis=1)
+
+
+def _selection_objective(
+    q: NDArray[np.complex128], prior_weights: NDArray[np.float64]
+) -> NDArray[np.float64]:
     sq = np.square(q.view(np.float64))  # real**2, imag**2 interleaved
     obj = sq[:, 0::2] + sq[:, 1::2]
     obj *= prior_weights
-    return obj.argmax(axis=1)
+    return obj
 
 
 def _is_self_conjugate(u: int, v: int, M: int, N: int) -> bool:
     return (2 * u) % M == 0 and (2 * v) % N == 0
 
 
-def update_model(
-    state: ModelState, j: NDArray[np.intp], p_uv: NDArray[np.complex128],
-    params: FsrParams,
-) -> ModelState:
+def update_model(state: ModelState, j: NDArray[np.intp], params: FsrParams) -> ModelState:
     """Accumulate the damped coefficient at position j and its conjugate partner.
 
-    The weighted residual spectrum is updated in place by subtracting the
-    correspondingly shifted weight spectra, which mirrors the spatial
-    residual update exactly.  A self-conjugate bin takes one real
-    coefficient; its partner term is then zero, which leaves the
-    coefficients and every later selection unchanged.
+    The coefficient is gamma times the projection at j, by a true divide
+    by the weight sum.  The weighted residual spectrum is updated in place
+    by subtracting the correspondingly shifted weight spectra, which
+    mirrors the spatial residual update exactly.  A self-conjugate bin
+    takes one real coefficient; its partner term is then zero, which
+    leaves the coefficients and every later selection unchanged.
     """
     F = len(j)
     table = _position_table(state.M, state.N)
-    c = params.gamma * p_uv
+    p_uv = state.residual_flat[state.row_starts + state.order[j]] / state.weight_sum
+    cc = np.empty(2 * F, dtype=np.complex128)  # the bins, then their partners
+    c = cc[:F]
+    np.multiply(params.gamma, p_uv, out=c)
     self_conj = table.self_conjugate[j]
     if self_conj.any():  # rare: only 4 of the M*N/2+2 positions
-        c = np.where(self_conj, c.real, c)
-        partner = np.where(self_conj, 0.0, np.conj(c))
+        c[:] = np.where(self_conj, c.real, c)
+        cc[F:] = np.where(self_conj, 0.0, np.conj(c))
     else:
-        partner = np.conj(c)
-    cc = np.concatenate((c, partner))  # the bins, then their partners
+        np.conj(c, out=cc[F:])
     state.updates.append((j, cc))
-    ff = np.arange(2 * F) % F
-    rows = table.rows[:, j].reshape(2 * F, -1)
-    cols = table.cols[:, j].reshape(2 * F, 1)
-    shifted = state.shifted_weight_spectra[ff[:, None], rows, cols]
+    offsets = table.offsets[:, j]
+    offsets += state.tile_offsets
+    shifted = state.weight_slabs[offsets]  # (2, F, M/2+1, N)
     flat = shifted.reshape(2 * F, -1)
     np.multiply(cc[:, None], flat, out=flat)
     # two subtractions, bin then partner, round exactly as one window did
-    state.weighted_residual_spectrum -= shifted[:F]
-    state.weighted_residual_spectrum -= shifted[F:]
+    state.weighted_residual_spectrum -= shifted[0]
+    state.weighted_residual_spectrum -= shifted[1]
     return state
 
 
@@ -206,17 +249,20 @@ def synthesize_model(state: ModelState) -> NDArray[np.float64]:
     """Accumulate the recorded coefficients into ``state.coef`` and evaluate
     each window's model on its grid.
 
-    One ``np.add.at`` in iteration order, bins before partners, sums every
-    coefficient in the order of one accumulation per iteration.
+    One ``np.bincount`` for the real and one for the imaginary parts, in
+    iteration order, bins before partners, sums every coefficient in the
+    order of one accumulation per iteration, from +0.
     """
     F, M, N = len(state.weight_sum), state.M, state.N
     j = np.array([j for j, _ in state.updates])  # (iterations, F)
     cc = np.array([cc for _, cc in state.updates])  # (iterations, 2F)
     bins = _position_table(M, N).bins[:, j].transpose(1, 0, 2)  # (iterations, 2, F)
-    coef = np.zeros((F, M * N), dtype=np.complex128)
-    np.add.at(coef, (np.tile(np.arange(F), 2 * len(j)), bins.ravel()), cc.ravel())
-    state.coef = coef.reshape(F, M, N)
-    g = np.fft.ifft2(state.coef) * (M * N)
+    at = (bins + np.arange(F) * (M * N)).ravel()
+    coef = np.empty((F, M, N), dtype=np.complex128)
+    coef.real = np.bincount(at, cc.real.ravel(), F * M * N).reshape(F, M, N)
+    coef.imag = np.bincount(at, cc.imag.ravel(), F * M * N).reshape(F, M, N)
+    state.coef = coef
+    g = np.fft.ifft2(coef) * (M * N)
     return g.real
 
 
@@ -240,7 +286,7 @@ def _reconstruct_blocks(
 
     Weights and omegas are built once for the stack.  A window without data
     is filled with its fallback value; the others run through the kernel
-    as one stack, whose peak allocation is about 130 kB per 32x32 window.
+    as one stack, whose peak allocation is about 165 kB per 32x32 window.
     """
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
@@ -253,15 +299,14 @@ def _reconstruct_blocks(
         prior_weights = stack_priors(
             [build_prior_map(params.prior_kind, ctx.M, ctx.N, o, params) for o in omega[idx]]
         )
-        f = np.arange(len(idx))
         for _ in range(params.iterations):
             q = projection_coefficients(state)
             j = select_basis(q, prior_weights)
             if traces is not None:
-                u, v = np.divmod(_selection_order(state.M, state.N)[j], state.N)
+                u, v = np.divmod(state.order[j], state.N)
                 for i, uv in zip(idx, zip(u.tolist(), v.tolist())):
                     traces[i].append(uv)
-            update_model(state, j, q[f, j], params)
+            update_model(state, j, params)
         g[idx] = synthesize_model(state)
     return _center_patch(ctx, g), fallback
 
@@ -364,6 +409,7 @@ def reconstruct_image(
     B, b = params.block_size, params.border
 
     labels, out = pad_planes(image, mask, B, b)
+    windows = plane_windows(labels, out, B + 2 * b)  # views: they see every paste-back
     global_mean = float(known_values.mean()) if known_values.size else 128.0
 
     origins = np.mgrid[0:H:B, 0:W:B].reshape(2, -1).T  # block origins in raster order
@@ -381,7 +427,7 @@ def reconstruct_image(
     # flat plane offsets of a center block from its block's image origin
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
-        ctx = build_block_context(labels, out, origins[members], B, b)
+        ctx = build_block_context(*windows, origins[members], B, b)
         patches, fell_back[members] = _reconstruct_blocks(ctx, params, fallback_values[members])
         at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
         fill = labels.flat[at] == AreaLabel.B

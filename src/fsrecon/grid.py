@@ -165,6 +165,17 @@ def pad_planes(
     return labels, values
 
 
+def plane_windows(
+    labels: NDArray[np.uint8], values: NDArray[np.float64], M: int
+) -> tuple[NDArray[np.uint8], NDArray[np.float64]]:
+    """Read-only views of the planes as the M x M window at every plane position.
+
+    Views, not copies: they show every later write to the planes, so one
+    pair serves a whole reconstruction.
+    """
+    return sliding_window_view(labels, (M, M)), sliding_window_view(values, (M, M))
+
+
 def build_block_context(
     labels: NDArray[np.uint8],
     values: NDArray[np.float64],
@@ -175,14 +186,14 @@ def build_block_context(
     """The extrapolation areas of the blocks at image positions ``origins``.
 
     One ``(r0, c0)`` pair gives one (M, N) window, an (F, 2) array a stack
-    of F.  ``labels`` and ``values`` are planes from ``pad_planes`` in which
-    the pixels of earlier blocks may be relabelled R; values at B
-    positions, such as fallback fills, read as zero.  The labels are a copy,
-    so relabelling the planes later leaves the context unchanged.
+    of F.  ``labels`` and ``values`` are the ``plane_windows`` of planes
+    from ``pad_planes`` in which the pixels of earlier blocks may be
+    relabelled R; values at B positions, such as fallback fills, read as
+    zero.  The labels are a copy, so relabelling the planes later leaves
+    the context unchanged.
     """
-    M = block_size + 2 * border
     r, c = np.asarray(origins).T
-    lab = np.array(sliding_window_view(labels, (M, M))[r, c])
+    lab = np.array(labels[r, c])
     data = (lab == AreaLabel.A) | (lab == AreaLabel.R)
-    vals = np.where(data, sliding_window_view(values, (M, M))[r, c], 0.0)
+    vals = np.where(data, values[r, c], 0.0)
     return BlockContext(block_size, border, lab, vals)

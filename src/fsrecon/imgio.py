@@ -36,12 +36,19 @@ def _read_payload(path: str | Path, data: bytes, pos: int, nbytes: int) -> np.nd
 
 
 def read_pgm(path: str | Path) -> ImageGrid:
+    """Read a binary 8-bit PGM, scaled from [0, maxval] to [0, 255].
+
+    At maxval 255 the samples are the bytes themselves.  A sample above
+    maxval is rejected.
+    """
     data = Path(path).read_bytes()
     (width, height, maxval), pos = _read_pnm_header(data, b"P5", 3)
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported maxval {maxval}: only 8-bit PGM (maxval 1..255) is read")
     raw = _read_payload(path, data, pos, width * height)
-    return ImageGrid(raw.reshape(height, width).astype(np.float64))
+    if raw.max(initial=0) > maxval:
+        raise ValueError(f"{path}: sample {raw.max()} exceeds maxval {maxval}")
+    return ImageGrid(raw.reshape(height, width) * (255.0 / maxval))
 
 
 def write_pgm(path: str | Path, image: ImageGrid) -> None:

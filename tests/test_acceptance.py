@@ -180,7 +180,7 @@ def test_criterion_3_invariant_suite():
         for _ in range(100):
             proj = projection_coefficients(state)
             j = select_basis(proj, stack_priors([prior]))
-            update_model(state, j, proj[0, j], p)
+            update_model(state, j, p)
         g = synthesize_model(state)
         g_complex = np.fft.ifft2(state.coef) * 256
         ok &= float(np.max(np.abs(g_complex.imag))) < 1e-6

@@ -4,6 +4,7 @@ import pytest
 from fsrecon.core import (
     _dft_exponentials,
     _position_table,
+    _selection_objective,
     _selection_order,
     init_model_state,
     projection_coefficients,
@@ -20,6 +21,7 @@ from fsrecon.priors import build_prior_map
 from fsrecon.weighting import (
     FsrParams,
     PriorKind,
+    WeightMap,
     build_weight_map,
     decay_map,
     effective_density,
@@ -94,6 +96,55 @@ class TestInitModelState:
         np.testing.assert_allclose(state.weighted_residual_spectrum[0], expected, atol=1e-9)
 
 
+def random_state(rng, F, M, N, weight_sum=None):
+    w = rng.random((F, M, N))
+    if weight_sum is None:
+        weight_sum = w.sum(axis=(1, 2))
+    return init_model_state(rng.uniform(0, 255, (F, M, N)), WeightMap(w, weight_sum))
+
+
+class TestWeightSlabs:
+    @pytest.mark.parametrize("M, N", [(2, 2), (4, 6), (8, 8), (10, 6), (32, 32)])
+    def test_every_slab_lies_in_its_window_tile(self, M, N):
+        F, half = 3, M // 2 + 1
+        state = random_state(np.random.default_rng(M * N), F, M, N)
+        offsets = _position_table(M, N).offsets[:, None, :] + state.tile_offsets[:, None]
+        tile = 4 * M * N
+        first = offsets
+        last = offsets + (half - 1) * 2 * N + N - 1  # the slab's last element
+        window = np.arange(F)[:, None]
+        assert np.all(first >= window * tile)
+        assert np.all(last < (window + 1) * tile)
+        assert offsets.max() < len(state.weight_slabs)
+
+    @pytest.mark.parametrize("M, N", [(2, 2), (4, 6), (8, 8), (10, 6)])
+    def test_slab_is_the_shifted_weight_spectrum(self, M, N):
+        F, half = 2, M // 2 + 1
+        rng = np.random.default_rng(M + N)
+        w = rng.random((F, M, N))
+        state = init_model_state(rng.uniform(0, 255, (F, M, N)), WeightMap(w, w.sum(axis=(1, 2))))
+        W = np.fft.fft2(w)
+        table = _position_table(M, N)
+        for f in range(F):
+            for k in range(2):
+                for o, b in zip(table.offsets[k], table.bins[k]):
+                    u, v = divmod(int(b), N)
+                    shifted = np.roll(W[f], (u, v), axis=(0, 1))[:half]
+                    slab = state.weight_slabs[state.tile_offsets[f] + o]
+                    assert slab.tobytes() == shifted.tobytes()
+
+    def test_view_ends_at_the_last_tile_element(self):
+        rng = np.random.default_rng(3)
+        w = rng.random((3, 8, 8))
+        state = init_model_state(rng.uniform(0, 255, (3, 8, 8)), WeightMap(w, w.sum(axis=(1, 2))))
+        assert state.weight_slabs[-1][-1, -1] == np.fft.fft2(w)[-1, -1, -1]
+
+    def test_slabs_are_read_only(self):
+        state = random_state(np.random.default_rng(4), 2, 8, 8)
+        with pytest.raises(ValueError):
+            state.weight_slabs[0, 0, 0] = 0
+
+
 class TestProjections:
     def test_constant_residual_dc(self):
         ctx = full_ctx(np.full((8, 8), 7.0))
@@ -149,10 +200,73 @@ class TestSelectBasis:
         proj = projection_coefficients(state)
         j = select_basis(proj, stack_priors([prior]))
         assert bin_of(j, M) == (0, 0)  # DC dominates first
-        update_model(state, j, proj[0, j], p)
+        update_model(state, j, p)
         proj = projection_coefficients(state)
         j = select_basis(proj, stack_priors([prior]))
         assert bin_of(j, M) in [(3, 0), (M - 3, 0)]
+
+
+def extreme_components(rng, shape):
+    """Random magnitudes 1e-300..1e300 of either sign, 10% of them +0 or -0."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    zero = rng.random(shape) < 0.1
+    x[zero] = rng.choice([-0.0, 0.0], np.count_nonzero(zero))
+    return x
+
+
+class TestReciprocalObjective:
+    """``projection_coefficients`` multiplies by 1/weight_sum instead of dividing.
+
+    numpy's complex-by-real divide computes (re + im*0)*(1/ws) and
+    (im - re*0)*(1/ws); only the sign of a zero may differ from the multiply.
+    These tests pin that on extreme values.  If numpy's divide loop changes
+    (another algorithm, another rounding), they fail, and the multiply must
+    not be used any more.
+    """
+
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        M = N = 8
+        for _ in range(200):
+            F = int(rng.integers(1, 17))
+            state = random_state(rng, F, M, N, weight_sum=10.0 ** rng.uniform(-3, 4, F))
+            parts = state.weighted_residual_spectrum.view(np.float64)
+            parts[...] = extreme_components(rng, parts.shape)
+            prior_weights = rng.random((F, len(state.order)))
+            yield rng, state, prior_weights
+
+    def divided(self, state):
+        return np.take(state.residual_rows, state.order, axis=1) / state.weight_sum[:, None]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
+    def test_objective_equals_the_divided_one_byte_for_byte(self):
+        sign_differences = 0
+        for _, state, prior_weights in self.cases():
+            q, q_div = projection_coefficients(state), self.divided(state)
+            assert np.array_equal(q, q_div)
+            sign_differences += np.count_nonzero(
+                np.signbit(q.view(np.float64)) != np.signbit(q_div.view(np.float64))
+            )
+            obj = _selection_objective(q, prior_weights)
+            assert obj.tobytes() == _selection_objective(q_div, prior_weights).tobytes()
+            np.testing.assert_array_equal(
+                select_basis(q, prior_weights), obj.argmax(axis=1)
+            )
+        assert sign_differences > 0  # the cases reach the signed zeros
+
+    def test_update_coefficients_are_the_true_divide(self):
+        p = FsrParams()
+        for rng, state, prior_weights in self.cases():
+            F = len(state.weight_sum)
+            q_div = self.divided(state)
+            j = rng.integers(0, len(state.order), F)
+            update_model(state, j, p)
+            c = p.gamma * q_div[np.arange(F), j]
+            self_conj = _position_table(8, 8).self_conjugate[j]
+            c = np.where(self_conj, c.real, c)
+            got = state.updates[-1][1]
+            assert got[:F].tobytes() == c.tobytes()
+            assert got[F:].tobytes() == np.where(self_conj, 0.0, np.conj(c)).tobytes()
 
 
 class TestUpdateModel:
@@ -164,7 +278,7 @@ class TestUpdateModel:
         prior = build_prior_map(PriorKind.NONE, 8, 8, 1.0, p)
         proj = projection_coefficients(state)
         j = select_basis(proj, stack_priors([prior]))
-        update_model(state, j, proj[0, j], p)
+        update_model(state, j, p)
         proj2 = projection_coefficients(state)
         assert abs(proj2[0, j]) < 1e-9
 
@@ -175,7 +289,7 @@ class TestUpdateModel:
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
         proj = projection_coefficients(state)
         j = position_of(1, 2, 8)
-        update_model(state, j, proj[:, j[0]], p)
+        update_model(state, j, p)
         synthesize_model(state)
         assert state.coef[0, 1, 2] == 0.5 * proj[0, j[0]]
         assert state.coef[0, 7, 6] == np.conj(0.5 * proj[0, j[0]])
@@ -200,7 +314,7 @@ class TestUpdateModel:
                 r = r - c.real * phi.real
             else:
                 r = r - 2.0 * (c * phi).real
-            update_model(state, j, proj[0, j], p)
+            update_model(state, j, p)
             np.testing.assert_allclose(
                 state.weighted_residual_spectrum[0], np.fft.fft2(r * wm.w)[: M // 2 + 1], atol=1e-6
             )
@@ -214,7 +328,7 @@ class TestUpdateModel:
         for _ in range(20):
             proj = projection_coefficients(state)
             j = select_basis(proj, stack_priors([prior]))
-            update_model(state, j, proj[0, j], p)
+            update_model(state, j, p)
         g = synthesize_model(state)
         flipped = state.coef[0][(-np.arange(8)) % 8][:, (-np.arange(8)) % 8]
         np.testing.assert_allclose(state.coef[0], np.conj(flipped), atol=1e-12)
@@ -227,8 +341,7 @@ class TestCachedTables:
         "table",
         [
             lambda: _selection_order(8, 8),
-            lambda: _position_table(8, 8).rows,
-            lambda: _position_table(8, 8).cols,
+            lambda: _position_table(8, 8).offsets,
             lambda: _position_table(8, 8).bins,
             lambda: _position_table(8, 8).self_conjugate,
             lambda: _dft_exponentials(8),
@@ -236,8 +349,7 @@ class TestCachedTables:
         ],
         ids=[
             "selection_order",
-            "position_table.rows",
-            "position_table.cols",
+            "position_table.offsets",
             "position_table.bins",
             "position_table.self_conjugate",
             "dft_exponentials",

@@ -8,6 +8,7 @@ from fsrecon.grid import (
     build_block_context,
     generate_mask,
     pad_planes,
+    plane_windows,
 )
 
 
@@ -53,10 +54,23 @@ def _context(img, mask, block_pos, block_size, border, recon=None):
     labels, values = pad_planes(img, mask, block_size, border)
     if recon is not None:
         labels[border : border + img.height, border : border + img.width][recon] = AreaLabel.R
-    return build_block_context(labels, values, block_pos, block_size, border)
+    windows = plane_windows(labels, values, block_size + 2 * border)
+    return build_block_context(*windows, block_pos, block_size, border)
 
 
 class TestBuildBlockContext:
+    def test_windows_show_later_writes_to_the_planes(self):
+        img = ImageGrid(np.arange(36.0).reshape(6, 6))
+        mask = SamplingMask(np.zeros((6, 6), dtype=bool))
+        labels, values = pad_planes(img, mask, 2, 1)
+        windows = plane_windows(labels, values, 4)
+        labels[3, 3], values[3, 3] = AreaLabel.R, 7.0
+        ctx = build_block_context(*windows, (2, 2), 2, 1)
+        assert ctx.labels[1, 1] == AreaLabel.R and ctx.values[1, 1] == 7.0
+        assert np.count_nonzero(ctx.values) == 1
+        labels[3, 3] = AreaLabel.B
+        assert ctx.labels[1, 1] == AreaLabel.R  # the context keeps its own copy
+
     def test_top_left_block_outside_labels(self):
         img = ImageGrid(np.arange(64, dtype=float).reshape(8, 8))
         mask = SamplingMask(np.ones((8, 8), dtype=bool))
@@ -103,8 +117,9 @@ class TestBuildBlockContext:
         values[inside][recon | fallback] = recon_vals[recon | fallback]
         assert np.any(fallback)
         origins = [(r0, c0) for r0 in range(0, H, B) for c0 in range(0, W, B)]
-        ctxs = [build_block_context(labels, values, o, B, b) for o in origins]
-        stacked = build_block_context(labels, values, np.array(origins), B, b)
+        windows = plane_windows(labels, values, B + 2 * b)
+        ctxs = [build_block_context(*windows, o, B, b) for o in origins]
+        stacked = build_block_context(*windows, np.array(origins), B, b)
         assert stacked.labels.shape == (len(origins), B + 2 * b, B + 2 * b)
         assert np.array_equal(stacked.labels, [ctx.labels for ctx in ctxs])
         assert np.array_equal(stacked.values, [ctx.values for ctx in ctxs])

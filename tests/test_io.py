@@ -31,6 +31,26 @@ def test_pgm_16bit(tmp_path):
         read_pgm(path)
 
 
+def test_pgm_low_maxval_scales_to_full_range(tmp_path):
+    path = tmp_path / "low.pgm"
+    path.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 7, 15, 3]))
+    np.testing.assert_array_equal(read_pgm(path).samples, [[0.0, 119.0], [255.0, 51.0]])
+
+
+def test_pgm_maxval_255_reads_the_bytes(tmp_path):
+    path = tmp_path / "full.pgm"
+    payload = bytes(range(256))
+    path.write_bytes(b"P5\n16 16\n255\n" + payload)
+    assert read_pgm(path).samples.tobytes() == np.arange(256.0).reshape(16, 16).tobytes()
+
+
+def test_pgm_sample_above_maxval(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 7, 15, 200]))
+    with pytest.raises(ValueError, match=r"over\.pgm: sample 200 exceeds maxval 15"):
+        read_pgm(path)
+
+
 def test_pbm_round_trip(tmp_path):
     mask = generate_mask(19, 7, 0.4, 3)
     path = tmp_path / "mask.pbm"

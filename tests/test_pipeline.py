@@ -259,6 +259,20 @@ class TestCli:
         assert err.startswith("error: ")
         assert "maxval 65535" in err
 
+    def test_reconstruct_sample_above_maxval_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 7, 15, 200]))
+        out = tmp_path / "out.pgm"
+        rc = cli_main(
+            ["reconstruct", "--input", str(path), "--density", "0.5", "--method", "nn",
+             "--output", str(out)]
+        )
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sample 200 exceeds maxval 15" in err
+
     @pytest.mark.parametrize("truncated", ["input", "mask"])
     def test_reconstruct_truncated_file_exits_with_message(
         self, test_image, tmp_path, capsys, truncated

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from fsrecon import core
 from fsrecon.core import reconstruct_block, reconstruct_image
-from fsrecon.grid import AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes
+from fsrecon.grid import (
+    AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes, plane_windows,
+)
 from fsrecon.weighting import FsrParams, PriorKind, build_weight_map
 
 
@@ -20,13 +22,14 @@ def raster_reconstruction(image, mask, params, block_fn):
     H, W = image.height, image.width
     B, b = params.block_size, params.border
     labels, out = pad_planes(image, mask, B, b)
+    windows = plane_windows(labels, out, B + 2 * b)
     known = mask.flags
     global_mean = float(image.samples[known].mean()) if known.any() else 128.0
     seen_sum, seen_cnt = 0.0, 0
     fallback_blocks = []
     for r0 in range(0, H, B):
         for c0 in range(0, W, B):
-            ctx = build_block_context(labels, out, (r0, c0), B, b)
+            ctx = build_block_context(*windows, (r0, c0), B, b)
             fb = seen_sum / seen_cnt if seen_cnt else global_mean
             patch, used_fb = block_fn(ctx, params, fb)
             center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]
