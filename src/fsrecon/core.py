@@ -27,7 +27,7 @@ from .grid import (
     AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs,
     pad_planes, plane_windows,
 )
-from .priors import PriorMap, build_prior_map, folded_radius_sq
+from .priors import build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
 
 @dataclass
@@ -36,8 +36,9 @@ class ModelState:
 
     The weighted residual spectrum is kept for rows 0..M/2 only: every bin
     of ``_selection_order`` lies there, and the rest follows by Hermitian
-    symmetry.  Each window's weight spectrum is tiled 2x2 into a (2M, 2N)
-    tile, so the spectrum shifted by any bin (u, v), restricted to rows
+    symmetry.  Each window's weight spectrum is tiled into a (3M/2, 2N)
+    tile, two copies side by side and the first M/2 rows of both again
+    below, so the spectrum shifted by any bin (u, v), restricted to rows
     0..M/2, is a plain (M/2+1, N) slab of the tile.  ``weight_slabs[o]`` is
     the slab that starts at flat element o of the stacked tiles; window f's
     slab for a bin starts at ``tile_offsets[f]`` plus the bin's entry of
@@ -103,7 +104,7 @@ class _PositionTable(NamedTuple):
     Axis 0 of ``offsets`` and ``bins`` is (bin, conjugate partner).
     """
 
-    offsets: NDArray[np.intp]  # (2, P) slab starts in a window's (2M, 2N) weight tile
+    offsets: NDArray[np.intp]  # (2, P) slab starts in a window's (3M/2, 2N) weight tile
     bins: NDArray[np.intp]  # (2, P) flat bin indices into the full spectrum
     self_conjugate: NDArray[np.bool_]  # (P,)
 
@@ -115,7 +116,8 @@ def _position_table(M: int, N: int) -> _PositionTable:
     The slab of bin (u, v) starts at tile row (M - u) % M and column
     (N - v) % N, so that its element (k, l) is W[(k - u) % M, (l - v) % N].
     Both starts are below M and N, so the slab's last row, at most
-    M - 1 + M/2, and last column, at most 2N - 2, lie inside the tile.
+    M - 1 + M/2, and last column, at most 2N - 2, lie inside the (3M/2, 2N)
+    tile; a taller tile would hold rows that no slab reads.
     """
     u, v = np.divmod(_selection_order(M, N), N)
     uu, vv = np.stack((u, (M - u) % M)), np.stack((v, (N - v) % N))
@@ -140,7 +142,9 @@ def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> Mode
     weight_sum = np.reshape(weight_map.weight_sum, -1)
     if weight_sum.min() <= 0.0:
         raise ValueError("weight sum is zero; the window holds no data")
-    tiles = np.tile(np.fft.fft2(w), (1, 2, 2))  # (F, 2M, 2N)
+    tiles = np.empty((len(w), 3 * M // 2, 2, N), dtype=np.complex128)  # (F, 3M/2, 2N)
+    tiles[:, :M] = np.fft.fft2(w)[:, :, None]
+    tiles[:, M:] = tiles[:, : M // 2]
     half, step = M // 2 + 1, tiles.strides[-1]
     # every slab start a window's offsets can name, and no element beyond the tiles
     slabs = as_strided(
@@ -150,7 +154,7 @@ def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> Mode
     return ModelState(
         weighted_residual_spectrum=np.fft.fft2(values * w)[:, :half].copy(),
         weight_slabs=slabs,
-        tile_offsets=np.arange(len(w)) * (4 * M * N),
+        tile_offsets=np.arange(len(w)) * (3 * M * N),
         weight_sum=weight_sum,
         M=M,
         N=N,
@@ -177,23 +181,16 @@ def projection_coefficients(state: ModelState) -> NDArray[np.complex128]:
     return q
 
 
-def stack_priors(priors: Sequence[PriorMap]) -> NDArray[np.float64]:
-    """Prior weights of each window at the bins of ``_selection_order``."""
-    M, N = priors[0].wf.shape
-    order = _selection_order(M, N)
-    return np.stack([prior.wf.ravel()[order] for prior in priors])
-
-
 def select_basis(
     q: NDArray[np.complex128], prior_weights: NDArray[np.float64]
 ) -> NDArray[np.intp]:
     """Per window, the position of the largest prior-modulated projection energy.
 
     ``q`` comes from ``projection_coefficients`` and ``prior_weights`` from
-    ``stack_priors``; the result indexes ``_selection_order``.  The search
-    runs over one representative per conjugate pair; partners carry
-    mathematically equal objectives and the update treats the pair as a
-    unit.  An all-zero objective yields DC.
+    ``build_prior_map`` at the bins of ``_selection_order``, which the
+    result indexes.  The search runs over one representative per conjugate
+    pair; partners carry mathematically equal objectives and the update
+    treats the pair as a unit.  An all-zero objective yields DC.
     """
     return _selection_objective(q, prior_weights).argmax(axis=1)
 
@@ -284,9 +281,9 @@ def _reconstruct_blocks(
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Center patches (F, B, B) and fallback flags (F,) of a stack of independent windows.
 
-    Weights and omegas are built once for the stack.  A window without data
-    is filled with its fallback value; the others run through the kernel
-    as one stack, whose peak allocation is about 165 kB per 32x32 window.
+    Weights, omegas and priors are built once for the stack.  A window
+    without data gets its fallback value; the others run through the kernel
+    as one stack, whose peak allocation is about 148 kB per 32x32 window.
     """
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
@@ -296,8 +293,8 @@ def _reconstruct_blocks(
     idx = np.flatnonzero(~fallback)
     if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
-        prior_weights = stack_priors(
-            [build_prior_map(params.prior_kind, ctx.M, ctx.N, o, params) for o in omega[idx]]
+        prior_weights = build_prior_map(
+            params.prior_kind, ctx.M, ctx.N, omega[idx], state.order, params
         )
         for _ in range(params.iterations):
             q = projection_coefficients(state)
@@ -357,7 +354,7 @@ def reconstruct_block_reference(
         return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
     M, N = ctx.M, ctx.N
-    prior = build_prior_map(params.prior_kind, M, N, omega, params)
+    prior = build_prior_map(params.prior_kind, M, N, np.array([omega]), np.arange(M * N), params)
     w = wm.w
     E_M = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
     E_N = _dft_exponentials(N)
@@ -370,7 +367,7 @@ def reconstruct_block_reference(
     for _ in range(params.iterations):
         num = E_M.conj().T @ (r * w) @ E_N.conj()
         p = num / denom
-        obj = (p.real**2 + p.imag**2) * prior.wf * denom
+        obj = (p.real**2 + p.imag**2) * prior.reshape(M, N) * denom
         flat = obj.ravel()[order]
         idx = order[int(np.argmax(flat))]
         u, v = int(idx // N), int(idx % N)

@@ -100,7 +100,7 @@ class BlockContext:
         if M != self.block_size + 2 * self.border or M != N:
             raise ValueError("window must be square with M = block_size + 2*border")
         dead = (self.labels == AreaLabel.B) | (self.labels == AreaLabel.OUTSIDE)
-        if np.any(self.values[dead] != 0.0):
+        if np.any(dead & (self.values != 0.0)):  # NaN != 0.0, so NaN is rejected too
             raise ValueError("values must be zero on B/OUTSIDE positions")
 
     @property

@@ -7,12 +7,14 @@ function of a diffraction limited system and suppresses high spatial
 frequencies quadratically.  The adaptive prior derives alpha from the
 effective data density of the window: dense data flattens the prior,
 sparse data sharpens it towards low-pass.  alpha = 0 is the flat prior.
+Like the spatial weights, the priors are set up once per wavefront:
+``build_prior_map`` gives every window of the front its weights at the
+searched bins in one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,14 +23,6 @@ from .weighting import FsrParams, PriorKind
 
 # the adaptive exponent's clamp; omega = 0 maps to it
 ALPHA_MAX = 32.0
-
-
-@dataclass(frozen=True)
-class PriorMap:
-    """Per-frequency selection weights on the M x N frequency plane."""
-
-    wf: NDArray[np.float64]
-    alpha: float
 
 
 def folded_radius_sq(k, l, M: int, N: int):
@@ -41,10 +35,12 @@ def folded_radius_sq(k, l, M: int, N: int):
     return kt**2 / M**2 + lt**2 / N**2
 
 
-def _prior(k, l, M: int, N: int, alpha: float):
-    # pow(x, 0) == 1 for every x, so alpha = 0 gives the flat prior, 0**0 included
+def _prior(k, l, M: int, N: int, alphas: list[float]) -> NDArray[np.float64]:
+    """The prior base ** (2*alpha) at the bins (k, l), one row per alpha."""
     base = np.maximum(0.0, 1.0 - math.sqrt(2.0) * np.sqrt(folded_radius_sq(k, l, M, N)))
-    return base ** (2.0 * alpha)
+    # pow(x, 0) == 1 for every x, so alpha = 0 gives the flat prior, 0**0 included
+    rows = [base ** (2.0 * alpha) for alpha in alphas]
+    return np.reshape(rows, (len(rows), base.size))
 
 
 def otf_prior(k: int, l: int, M: int, N: int) -> float:
@@ -70,18 +66,24 @@ def adaptive_prior(k: int, l: int, M: int, N: int, alpha: float) -> float:
     """Density-adaptive prior: base ** (2*alpha), with 0**0 == 1.
 
     Evaluated through the same array expression as ``build_prior_map``, so
-    it equals the map entry bit for bit.
+    it equals that function's weight bit for bit.
     """
-    return _prior(np.array([k]), np.array([l]), M, N, alpha).item()
+    return _prior(np.array([k]), np.array([l]), M, N, [alpha]).item()
 
 
 def build_prior_map(
-    kind: PriorKind, M: int, N: int, omega: float, params: FsrParams
-) -> PriorMap:
+    kind: PriorKind, M: int, N: int, omega: NDArray[np.float64], bins: NDArray[np.intp],
+    params: FsrParams,
+) -> NDArray[np.float64]:
+    """Selection weights (F, P) of F windows with effective densities ``omega``
+    (F,) at the flat indices ``bins`` (P,) of the M x N frequency plane.
+    """
     if M % 2 != 0 or N % 2 != 0:
         raise ValueError("frequency plane dimensions must be even")
+    k, l = np.divmod(bins, N)
     if kind == PriorKind.ADAPTIVE:
-        alpha = alpha_of_omega(omega, params)
+        # math.log and a scalar exponent per window: np.log or a vector exponent flips last bits
+        alphas = [alpha_of_omega(o, params) for o in omega.tolist()]
     else:
-        alpha = 1.0 if kind == PriorKind.OTF else 0.0
-    return PriorMap(wf=_prior(np.arange(M)[:, None], np.arange(N), M, N, alpha), alpha=alpha)
+        alphas = [1.0 if kind == PriorKind.OTF else 0.0] * len(omega)
+    return _prior(k, l, M, N, alphas)

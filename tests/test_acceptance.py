@@ -22,7 +22,6 @@ from fsrecon.core import (
     init_model_state,
     projection_coefficients,
     select_basis,
-    stack_priors,
     update_model,
 )
 from fsrecon.grid import AreaLabel, BlockContext
@@ -175,11 +174,11 @@ def test_criterion_3_invariant_suite():
 
         omega = effective_density(ctx, wm, p)
         ok &= 0.0 <= omega <= 1.0
-        prior = build_prior_map(f.PriorKind.ADAPTIVE, 16, 16, omega, p)
         state = init_model_state(ctx.values, wm)
+        prior = build_prior_map(f.PriorKind.ADAPTIVE, 16, 16, np.array([omega]), state.order, p)
         for _ in range(100):
             proj = projection_coefficients(state)
-            j = select_basis(proj, stack_priors([prior]))
+            j = select_basis(proj, prior)
             update_model(state, j, p)
         g = synthesize_model(state)
         g_complex = np.fft.ifft2(state.coef) * 256
@@ -194,10 +193,12 @@ def test_criterion_3_invariant_suite():
 
     # prior fold symmetry and axis monotonicity
     for kind in (f.PriorKind.OTF, f.PriorKind.ADAPTIVE):
-        pm = build_prior_map(kind, 32, 32, 0.35, f.FsrParams())
-        flipped = pm.wf[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]
-        ok &= bool(np.array_equal(pm.wf, flipped))
-        axis = pm.wf[: 17, 0]
+        wf = build_prior_map(
+            kind, 32, 32, np.array([0.35]), np.arange(32 * 32), f.FsrParams()
+        ).reshape(32, 32)
+        flipped = wf[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]
+        ok &= bool(np.array_equal(wf, flipped))
+        axis = wf[: 17, 0]
         ok &= bool(np.all(np.diff(axis) <= 0))
 
     elapsed = time.perf_counter() - t0

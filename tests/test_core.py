@@ -12,7 +12,6 @@ from fsrecon.core import (
     reconstruct_block_reference,
     reconstruct_image,
     select_basis,
-    stack_priors,
     synthesize_model,
     update_model,
 )
@@ -109,7 +108,7 @@ class TestWeightSlabs:
         F, half = 3, M // 2 + 1
         state = random_state(np.random.default_rng(M * N), F, M, N)
         offsets = _position_table(M, N).offsets[:, None, :] + state.tile_offsets[:, None]
-        tile = 4 * M * N
+        tile = (3 * M // 2) * 2 * N
         first = offsets
         last = offsets + (half - 1) * 2 * N + N - 1  # the slab's last element
         window = np.arange(F)[:, None]
@@ -137,7 +136,8 @@ class TestWeightSlabs:
         rng = np.random.default_rng(3)
         w = rng.random((3, 8, 8))
         state = init_model_state(rng.uniform(0, 255, (3, 8, 8)), WeightMap(w, w.sum(axis=(1, 2))))
-        assert state.weight_slabs[-1][-1, -1] == np.fft.fft2(w)[-1, -1, -1]
+        # the last tile row repeats spectrum row M/2 - 1
+        assert state.weight_slabs[-1][-1, -1] == np.fft.fft2(w)[-1, 8 // 2 - 1, -1]
 
     def test_slabs_are_read_only(self):
         state = random_state(np.random.default_rng(4), 2, 8, 8)
@@ -185,9 +185,9 @@ class TestSelectBasis:
         values[1, 2] = 5.0
         ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
         state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
-        prior = build_prior_map(PriorKind.OTF, 4, 4, 0.5, FsrParams())
+        prior = build_prior_map(PriorKind.OTF, 4, 4, np.array([0.5]), state.order, FsrParams())
         proj = projection_coefficients(state)
-        assert bin_of(select_basis(proj, stack_priors([prior])), 4) == (0, 0)
+        assert bin_of(select_basis(proj, prior), 4) == (0, 0)
 
     def test_cosine_selects_its_frequency(self):
         M = 16
@@ -196,13 +196,13 @@ class TestSelectBasis:
         ctx = full_ctx(values)
         p = FsrParams(rho_hat=1.0, gamma=1.0)
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
-        prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
+        prior = build_prior_map(PriorKind.NONE, M, M, np.array([1.0]), state.order, p)
         proj = projection_coefficients(state)
-        j = select_basis(proj, stack_priors([prior]))
+        j = select_basis(proj, prior)
         assert bin_of(j, M) == (0, 0)  # DC dominates first
         update_model(state, j, p)
         proj = projection_coefficients(state)
-        j = select_basis(proj, stack_priors([prior]))
+        j = select_basis(proj, prior)
         assert bin_of(j, M) in [(3, 0), (M - 3, 0)]
 
 
@@ -275,9 +275,9 @@ class TestUpdateModel:
         ctx = full_ctx(rng.uniform(0, 255, (8, 8)))
         p = FsrParams(rho_hat=1.0, gamma=1.0)
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
-        prior = build_prior_map(PriorKind.NONE, 8, 8, 1.0, p)
+        prior = build_prior_map(PriorKind.NONE, 8, 8, np.array([1.0]), state.order, p)
         proj = projection_coefficients(state)
-        j = select_basis(proj, stack_priors([prior]))
+        j = select_basis(proj, prior)
         update_model(state, j, p)
         proj2 = projection_coefficients(state)
         assert abs(proj2[0, j]) < 1e-9
@@ -305,8 +305,8 @@ class TestUpdateModel:
         mg, ng = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
         for _ in range(5):
             proj = projection_coefficients(state)
-            prior = build_prior_map(PriorKind.NONE, M, M, 1.0, p)
-            j = select_basis(proj, stack_priors([prior]))
+            prior = build_prior_map(PriorKind.NONE, M, M, np.array([1.0]), state.order, p)
+            j = select_basis(proj, prior)
             u, v = bin_of(j, M)
             c = p.gamma * proj[0, j[0]]
             phi = np.exp(2j * np.pi * (mg * u / M + ng * v / M))
@@ -324,10 +324,10 @@ class TestUpdateModel:
         ctx = random_ctx(rng, M=8)
         p = FsrParams()
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
-        prior = build_prior_map(PriorKind.ADAPTIVE, 8, 8, 0.5, p)
+        prior = build_prior_map(PriorKind.ADAPTIVE, 8, 8, np.array([0.5]), state.order, p)
         for _ in range(20):
             proj = projection_coefficients(state)
-            j = select_basis(proj, stack_priors([prior]))
+            j = select_basis(proj, prior)
             update_model(state, j, p)
         g = synthesize_model(state)
         flipped = state.coef[0][(-np.arange(8)) % 8][:, (-np.arange(8)) % 8]

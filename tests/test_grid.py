@@ -3,6 +3,7 @@ import pytest
 
 from fsrecon.grid import (
     AreaLabel,
+    BlockContext,
     ImageGrid,
     SamplingMask,
     build_block_context,
@@ -141,3 +142,37 @@ class TestBuildBlockContext:
                     else:
                         want = (AreaLabel.B, 0.0)
                     assert (ctx.labels[m, n], ctx.values[m, n]) == want
+
+
+class TestBlockContextChecks:
+    def stack(self, F=3, M=8):
+        labels = np.full((F, M, M), AreaLabel.A, dtype=np.uint8)
+        labels[:, ::3] = AreaLabel.R
+        return labels, np.random.default_rng(F).uniform(1, 255, (F, M, M))
+
+    def test_shape_mismatch(self):
+        labels, values = self.stack()
+        with pytest.raises(ValueError, match="shapes differ"):
+            BlockContext(4, 2, labels, values[:, :, :-1])
+        with pytest.raises(ValueError, match="shapes differ"):
+            BlockContext(4, 2, labels, values[0])
+
+    def test_window_size(self):
+        labels, values = self.stack()
+        BlockContext(4, 2, labels, values)
+        with pytest.raises(ValueError, match="square"):
+            BlockContext(2, 2, labels, values)  # M = 8 != 2 + 2*2
+        with pytest.raises(ValueError, match="square"):
+            BlockContext(4, 2, labels[:, :, :6], values[:, :, :6])  # 8 x 6
+
+    @pytest.mark.parametrize("label", [AreaLabel.B, AreaLabel.OUTSIDE])
+    @pytest.mark.parametrize("value", [1.0, -1e-300, np.inf, np.nan])
+    def test_nonzero_value_on_a_dead_position(self, label, value):
+        labels, values = self.stack()
+        labels[:, 1, :] = label
+        values[:, 1, :] = 0.0
+        values[2, 1, 5] = -0.0  # a signed zero is zero
+        BlockContext(4, 2, labels, values)
+        values[2, 1, 3] = value  # one position of the last window
+        with pytest.raises(ValueError, match="zero on B/OUTSIDE"):
+            BlockContext(4, 2, labels, values)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fsrecon.core import _selection_order
 from fsrecon.priors import (
     ALPHA_MAX, adaptive_prior, alpha_of_omega, build_prior_map, otf_prior,
 )
@@ -108,48 +109,73 @@ class TestAdaptivePrior:
             assert lo > hi
 
 
+def full_map(kind, M, omega, params):
+    """The prior of one window with effective density omega at every bin, (M, M)."""
+    weights = build_prior_map(kind, M, M, np.array([omega]), np.arange(M * M), params)
+    assert weights.shape == (1, M * M)
+    return weights.reshape(M, M)
+
+
 class TestPriorMap:
     @pytest.mark.parametrize("M", [2, 8, 32])
     def test_scalars_equal_map_entries_exactly(self, M):
         p = FsrParams()
-        otf = build_prior_map(PriorKind.OTF, M, M, 0.5, p).wf
+        otf = full_map(PriorKind.OTF, M, 0.5, p)
         for omega in (0.05, 0.3, 0.7, 1.0):
-            ap = build_prior_map(PriorKind.ADAPTIVE, M, M, omega, p)
+            ap = full_map(PriorKind.ADAPTIVE, M, omega, p)
+            alpha = alpha_of_omega(omega, p)
             for k in range(M):
                 for l in range(M):
                     assert otf_prior(k, l, M, M) == otf[k, l]
-                    assert adaptive_prior(k, l, M, M, ap.alpha) == ap.wf[k, l]
+                    assert adaptive_prior(k, l, M, M, alpha) == ap[k, l]
+
+    def test_front_rows_equal_scalar_priors_exactly(self):
+        # per-window scalar alphas and exponents; np.log or one vector
+        # exponent for the front changes some of these bits.  At tau = 2,
+        # exp(-2) and exp(-0.5) give the exponents 2 and 0.5, for which a
+        # scalar power takes numpy's square and sqrt paths
+        M, p = 32, FsrParams(tau=2.0)
+        rng = np.random.default_rng(16)
+        special = [0.0, 1.0, 1e-300, 0.5, math.exp(-2.0), math.exp(-0.5)]
+        omega = np.concatenate([rng.random(300), 10.0 ** rng.uniform(-40, 0, 100), special])
+        bins = _selection_order(M, M)
+        weights = build_prior_map(PriorKind.ADAPTIVE, M, M, omega, bins, p)
+        assert weights.shape == (len(omega), len(bins))
+        k, l = np.divmod(bins, M)
+        for row, o in zip(weights, omega):
+            alpha = alpha_of_omega(o, p)
+            want = [adaptive_prior(kk, ll, M, M, alpha) for kk, ll in zip(k.tolist(), l.tolist())]
+            assert row.tobytes() == np.array(want).tobytes()
 
     def test_none_is_all_ones(self):
-        pm = build_prior_map(PriorKind.NONE, 32, 32, 0.5, FsrParams())
-        assert np.all(pm.wf == 1.0)
+        assert np.all(full_map(PriorKind.NONE, 32, 0.5, FsrParams()) == 1.0)
 
     def test_adaptive_at_unity_matches_otf_map(self):
         p = FsrParams(tau=2.0)
-        ap = build_prior_map(PriorKind.ADAPTIVE, 32, 32, math.exp(-2.0), p)
-        otf = build_prior_map(PriorKind.OTF, 32, 32, 0.5, p)
-        np.testing.assert_allclose(ap.wf, otf.wf, rtol=1e-12, atol=0)
+        ap = full_map(PriorKind.ADAPTIVE, 32, math.exp(-2.0), p)
+        otf = full_map(PriorKind.OTF, 32, 0.5, p)
+        np.testing.assert_allclose(ap, otf, rtol=1e-12, atol=0)
 
     def test_lower_omega_suppresses_everywhere(self):
         p = FsrParams()
-        lo = build_prior_map(PriorKind.ADAPTIVE, 32, 32, 0.2, p)
-        hi = build_prior_map(PriorKind.ADAPTIVE, 32, 32, 0.8, p)
-        base_lt_one = lo.wf < 1.0
-        assert np.all(lo.wf[base_lt_one] <= hi.wf[base_lt_one])
-        assert np.any(lo.wf[base_lt_one] < hi.wf[base_lt_one])
+        lo = full_map(PriorKind.ADAPTIVE, 32, 0.2, p)
+        hi = full_map(PriorKind.ADAPTIVE, 32, 0.8, p)
+        base_lt_one = lo < 1.0
+        assert np.all(lo[base_lt_one] <= hi[base_lt_one])
+        assert np.any(lo[base_lt_one] < hi[base_lt_one])
 
     @pytest.mark.parametrize("kind", [PriorKind.OTF, PriorKind.ADAPTIVE, PriorKind.NONE])
     def test_fold_symmetry(self, kind):
-        pm = build_prior_map(kind, 32, 32, 0.4, FsrParams())
-        flipped = pm.wf[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]
-        np.testing.assert_array_equal(pm.wf, flipped)
+        wf = full_map(kind, 32, 0.4, FsrParams())
+        flipped = wf[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]
+        np.testing.assert_array_equal(wf, flipped)
 
     def test_dc_is_one_and_range(self):
         for kind in (PriorKind.OTF, PriorKind.ADAPTIVE):
-            pm = build_prior_map(kind, 32, 32, 0.3, FsrParams())
-            assert pm.wf[0, 0] == 1.0
-            assert np.all((pm.wf >= 0.0) & (pm.wf <= 1.0))
+            wf = full_map(kind, 32, 0.3, FsrParams())
+            assert wf[0, 0] == 1.0
+            assert np.all((wf >= 0.0) & (wf <= 1.0))
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            build_prior_map(PriorKind.OTF, 31, 31, 0.5, FsrParams())
+            build_prior_map(PriorKind.OTF, 31, 31, np.array([0.5]), np.arange(31 * 31), FsrParams())

@@ -15,6 +15,7 @@ from fsrecon.core import reconstruct_block, reconstruct_image
 from fsrecon.grid import (
     AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes, plane_windows,
 )
+from fsrecon.priors import build_prior_map
 from fsrecon.weighting import FsrParams, PriorKind, build_weight_map
 
 
@@ -83,17 +84,26 @@ def test_wavefront_equals_raster_order(height, width, block_size, border, densit
 
 def test_set_up_runs_once_per_front(monkeypatch):
     # perfbench traces the set-up layers by these names in core's namespace
-    calls = []
+    calls, prior_calls = [], []
 
     def counting(ctx, params):
         calls.append(ctx.labels.shape)
         return build_weight_map(ctx, params)
 
+    def counting_priors(kind, M, N, omega, bins, params):
+        prior_calls.append(omega.shape)
+        return build_prior_map(kind, M, N, omega, bins, params)
+
     monkeypatch.setattr(core, "build_weight_map", counting)
+    monkeypatch.setattr(core, "build_prior_map", counting_priors)
     image, mask = make_case(13, 23, 0.3, 5)
     params = FsrParams(block_size=2, border=3, iterations=4)
-    reconstruct_image(image, mask, params)
+    result = reconstruct_image(image, mask, params)
     k = -(-params.border // params.block_size) + 1
     row, col = np.divmod(np.arange(7 * 12), 12)
-    assert len(calls) == len(set(col + k * row))
+    front = col + k * row
+    assert len(calls) == len(set(front))
     assert all(len(shape) == 3 for shape in calls)
+    # every window holds data, so one prior call per front, on all its omegas
+    assert result.fallback_blocks == []
+    assert prior_calls == [(n,) for n in np.unique(front, return_counts=True)[1]]
