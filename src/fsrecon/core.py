@@ -268,7 +268,7 @@ def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float
     b, B = ctx.border, ctx.block_size
     center = np.s_[..., b : b + B, b : b + B]
     patch = np.clip(g[center], 0.0, 255.0)
-    known = ctx.labels[center] == AreaLabel.A
+    known = ctx.labels[center] == AreaLabel.A.value
     patch[known] = ctx.values[center][known]
     return patch
 
@@ -427,11 +427,11 @@ def reconstruct_image(
         ctx = build_block_context(*windows, origins[members], B, b)
         patches, fell_back[members] = _reconstruct_blocks(ctx, params, fallback_values[members])
         at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
-        fill = labels.flat[at] == AreaLabel.B
+        fill = labels.flat[at] == AreaLabel.B.value
         out.flat[at[fill]] = patches[fill]
         # fallback fills carry no signal model; they must not support
         # later windows as reconstructed samples
-        labels.flat[at[fill & ~fell_back[members, None, None]]] = AreaLabel.R
+        labels.flat[at[fill & ~fell_back[members, None, None]]] = AreaLabel.R.value
 
     return ReconstructionResult(
         image=ImageGrid(out[b : b + H, b : b + W]),

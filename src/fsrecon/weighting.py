@@ -93,8 +93,8 @@ def spatial_weight(m: int, n: int, label: AreaLabel, M: int, N: int, params: Fsr
 
 def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:
     decay = decay_map(ctx.M, ctx.N, params.rho_hat)
-    w = np.where(ctx.labels == AreaLabel.A, decay, 0.0)
-    w += np.where(ctx.labels == AreaLabel.R, params.delta * decay, 0.0)
+    w = np.where(ctx.labels == AreaLabel.A.value, decay, 0.0)
+    w += np.where(ctx.labels == AreaLabel.R.value, params.delta * decay, 0.0)
     return WeightMap(w=w, weight_sum=np.sum(w, axis=(-2, -1)))
 
 
