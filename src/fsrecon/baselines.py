@@ -1,7 +1,8 @@
 """Simple reference reconstructions: nearest-neighbor and linear fill.
 
-scipy is imported on the first call, not at module load: importing it
-takes about 0.6 s and 45 MB, which FSR runs never use.
+scipy is imported on the first call, not at module load, because FSR runs
+never use it.  Only ``scipy.spatial`` is imported: the linear interpolant
+is evaluated here from the triangulation's own barycentric transform.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ from .grid import ImageGrid, SamplingMask, check_inputs
 
 log = logging.getLogger(__name__)
 
+# Neighbours fetched per query pixel to find the ties at the nearest
+# distance; at 256x256 only a handful of pixels have more ties than this.
+K_NEAREST = 6
 
-def import_scipy() -> tuple[ModuleType, ModuleType]:
-    """``scipy.spatial`` and ``scipy.interpolate``, imported on the first call."""
-    from scipy import interpolate, spatial
 
-    return spatial, interpolate
+def import_scipy() -> ModuleType:
+    """``scipy.spatial``, imported on the first call."""
+    from scipy import spatial
+
+    return spatial
 
 
 def _nearest_known(known_rc: NDArray[np.intp], query_rc: NDArray[np.intp]) -> NDArray[np.intp]:
@@ -29,19 +34,28 @@ def _nearest_known(known_rc: NDArray[np.intp], query_rc: NDArray[np.intp]) -> ND
 
     ``known_rc`` must be sorted by (row, col), as ``np.argwhere`` returns it,
     so among samples at equal distance the smallest index is the smallest
-    (row, col).  An exact kd-tree query gives the nearest distance d; a ball
+    (row, col).  A kd-tree query returns the ``K_NEAREST`` nearest samples;
+    squared distances are exact integers and sqrt is correctly rounded, so
+    ``==`` against the nearest distance finds exactly the ties among them.
+
+    A row whose last column still ties may have more ties beyond it; a ball
     query of radius d + 1e-9 then returns every sample tied at d.  The margin
-    cannot admit a farther sample: squared distances are integers, so the
-    next distance past d = sqrt(n) is sqrt(n + 1) >= d + 1 / (2 sqrt(n + 1)),
-    about 1.4e-3 further out on a 256x256 image and 3.5e-6 on a side of 1e5
-    pixels.  At that size the rounding of d is below 2e-11, so the margin
-    still holds every sample tied at d.
+    cannot admit a farther sample: the next distance past d = sqrt(n) is
+    sqrt(n + 1) >= d + 1 / (2 sqrt(n + 1)), about 1.4e-3 further out on a
+    256x256 image and 3.5e-6 on a side of 1e5 pixels.  At that size the
+    rounding of d is below 2e-11, so the margin still holds every sample
+    tied at d.
     """
-    spatial, _ = import_scipy()
-    tree = spatial.cKDTree(known_rc)
-    dist, _ = tree.query(query_rc, k=1)
-    ties = tree.query_ball_point(query_rc, dist + 1e-9)
-    return np.fromiter(map(min, ties), dtype=np.intp, count=len(ties))
+    tree = import_scipy().cKDTree(known_rc)
+    k = min(K_NEAREST, known_rc.shape[0])
+    dist, idx = tree.query(query_rc, k=list(range(1, k + 1)))
+    tied = dist == dist[:, :1]
+    best = np.where(tied, idx, known_rc.shape[0]).min(axis=1)
+    more = tied[:, -1] & (k < known_rc.shape[0])  # every sample seen: nothing beyond
+    if more.any():
+        ties = tree.query_ball_point(query_rc[more], dist[more, 0] + 1e-9)
+        best[more] = np.fromiter(map(min, ties), dtype=np.intp, count=len(ties))
+    return best
 
 
 def nearest_neighbor_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid:
@@ -66,25 +80,39 @@ def linear_triangulation_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid
     Pixels outside the convex hull of the known samples take the
     nearest-neighbor value.  Degenerate sample sets (fewer than three
     points, or all collinear) fall back to nearest-neighbor entirely.
+    The interpolant repeats ``scipy.interpolate.LinearNDInterpolator``'s
+    arithmetic in its order, so the bytes equal that interpolator's.
     """
+    known_vals = check_inputs(image, mask)
+    unknown = ~mask.flags
+    if not unknown.any():
+        return ImageGrid(image.samples.copy())
     known_rc = np.argwhere(mask.flags)
-    # each fallback validates the inputs in nearest_neighbor_fill, and
-    # raises there, before the warning, on bad inputs or an empty mask
+    # each fallback raises in nearest_neighbor_fill, before the warning,
+    # on an empty mask
     if known_rc.shape[0] < 3:
         nn = nearest_neighbor_fill(image, mask)
         log.warning("fewer than 3 known samples; using nearest-neighbor fill")
         return nn
-    spatial, interpolate = import_scipy()
+    spatial = import_scipy()
     try:
         tri = spatial.Delaunay(known_rc.astype(np.float64))
     except spatial.QhullError:
         nn = nearest_neighbor_fill(image, mask)
         log.warning("degenerate (collinear) samples; using nearest-neighbor fill")
         return nn
-    known_vals = check_inputs(image, mask)
-    unknown = ~mask.flags
     unknown_rc = np.argwhere(unknown)
-    vals = interpolate.LinearNDInterpolator(tri, known_vals)(unknown_rc.astype(np.float64))
+    pts = unknown_rc.astype(np.float64)
+    simplex = tri.find_simplex(pts)
+    inside = simplex >= 0
+    # scipy's accumulators start at 0.0, which turns a -0.0 product into +0.0
+    t = tri.transform[simplex[inside]]  # (n, 3, 2): inverse map, then vertex 2
+    d = pts[inside] - t[:, 2]
+    c0 = (0.0 + t[:, 0, 0] * d[:, 0]) + t[:, 0, 1] * d[:, 1]
+    c1 = (0.0 + t[:, 1, 0] * d[:, 0]) + t[:, 1, 1] * d[:, 1]
+    v = known_vals[tri.simplices[simplex[inside]]]
+    vals = np.full(len(pts), np.nan)
+    vals[inside] = ((0.0 + c0 * v[:, 0]) + c1 * v[:, 1]) + ((1.0 - c0) - c1) * v[:, 2]
     outside = np.isnan(vals)
     if outside.any():
         vals[outside] = known_vals[_nearest_known(known_rc, unknown_rc[outside])]

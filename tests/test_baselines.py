@@ -90,6 +90,68 @@ def test_64x64_matches_brute_force(density):
     assert_both_match_brute_force(image, generate_mask(64, 64, density, 9))
 
 
+# the 12 lattice offsets at squared distance 25, in (row, col) order
+RING_25 = [(r, c) for r in range(-5, 6) for c in range(-5, 6) if r * r + c * c == 25]
+
+
+def ring_mask(h, w, center, offsets):
+    flags = np.zeros((h, w), dtype=bool)
+    for dr, dc in offsets:
+        flags[center[0] + dr, center[1] + dc] = True
+    return SamplingMask(flags)
+
+
+@pytest.mark.parametrize(
+    "height, width, center", [(11, 14, (5, 7)), (12, 13, (5, 5)), (13, 11, (7, 5)), (24, 19, (9, 11))]
+)
+def test_more_ties_than_k_nearest_match_brute_force(height, width, center):
+    """Every pixel outside a disk is known, so the center has the 12 samples of
+    RING_25 at its nearest distance: more than one k-nearest query returns, and
+    its winner comes from the ball query."""
+    assert len(RING_25) > baselines.K_NEAREST
+    rows, cols = np.mgrid[0:height, 0:width]
+    flags = (rows - center[0]) ** 2 + (cols - center[1]) ** 2 >= 25
+    image = ImageGrid(np.random.default_rng(13).uniform(0, 255, (height, width)))
+    assert_both_match_brute_force(image, SamplingMask(flags))
+
+
+@pytest.mark.parametrize(
+    "n_known", [1, 2, baselines.K_NEAREST - 1, baselines.K_NEAREST, baselines.K_NEAREST + 1]
+)
+def test_as_many_samples_as_k_nearest_match_brute_force(n_known):
+    """The query asks for min(K_NEAREST, known) neighbours; symmetric samples tie."""
+    image = ImageGrid(np.random.default_rng(n_known).uniform(0, 255, (11, 11)))
+    assert_both_match_brute_force(image, ring_mask(11, 11, (5, 5), RING_25[:n_known]))
+
+
+@pytest.mark.parametrize("density", [0.3, 0.8])
+def test_lin_at_256x256_equals_scipy_interpolant(density, monkeypatch):
+    """Inside the hull the bytes equal LinearNDInterpolator's; the pixels it
+    leaves NaN, and only those, go to the nearest-neighbour search."""
+    image = ImageGrid(np.random.default_rng(17).uniform(0, 255, (256, 256)))
+    flags = generate_mask(256, 256, density, 17).flags.copy()
+    flags[0, 0] = flags[0, -1] = flags[-1, 0] = flags[-1, -1] = False  # outside the hull
+    mask = SamplingMask(flags)
+    known, unknown = np.argwhere(flags), np.argwhere(~flags)
+    interp = LinearNDInterpolator(known.astype(np.float64), image.samples[flags])
+    vals = interp(unknown.astype(np.float64))
+    inside = ~np.isnan(vals)
+
+    queries = []
+    nearest_known = baselines._nearest_known
+
+    def recorded_nearest_known(known_rc, query_rc):
+        queries.append(query_rc.copy())
+        return nearest_known(known_rc, query_rc)
+
+    monkeypatch.setattr(baselines, "_nearest_known", recorded_nearest_known)
+    out = linear_triangulation_fill(image, mask).samples[~flags]
+
+    assert out[inside].tobytes() == vals[inside].tobytes()
+    assert len(queries) == 1
+    np.testing.assert_array_equal(queries[0], unknown[~inside])
+
+
 class TestNearestNeighbor:
     def test_single_sample_floods(self):
         img = ImageGrid(np.zeros((6, 6)))
@@ -146,6 +208,14 @@ class TestLinearTriangulation:
         img = ImageGrid(rng.uniform(0, 255, (8, 8)))
         out = linear_triangulation_fill(img, SamplingMask(np.ones((8, 8), dtype=bool)))
         np.testing.assert_array_equal(out.samples, img.samples)
+
+    def test_full_mask_neither_triangulates_nor_warns(self, monkeypatch, caplog):
+        monkeypatch.setattr(baselines, "import_scipy", lambda: pytest.fail("triangulated"))
+        img = ImageGrid(np.random.default_rng(4).uniform(0, 255, (1, 9)))  # one row: collinear
+        out = linear_triangulation_fill(img, SamplingMask(np.ones((1, 9), dtype=bool)))
+        assert out.samples.tobytes() == img.samples.tobytes()
+        assert out.samples is not img.samples
+        assert caplog.records == []
 
     def test_output_within_known_range(self):
         rng = np.random.default_rng(5)

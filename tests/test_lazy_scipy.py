@@ -1,4 +1,5 @@
-"""scipy is loaded only when a baseline (``nn`` or ``lin``) runs.
+"""scipy is loaded only when a baseline (``nn`` or ``lin``) runs, and then
+only ``scipy.spatial``, not ``scipy.interpolate``.
 
 The test session itself has imported scipy long before these tests run,
 so each check starts a fresh interpreter on the package sources.
@@ -56,11 +57,13 @@ def test_fsr_runs_load_no_scipy_and_baselines_still_run(tmp_path):
         after_fsr = scipy_loaded()
         rcs += [reconstruct("nn"), reconstruct("lin")]
         print(json.dumps({"rcs": rcs, "after_fsr": after_fsr,
-                          "after_baselines": "scipy.spatial" in sys.modules}))
+                          "after_baselines": "scipy.spatial" in sys.modules,
+                          "interpolate": "scipy.interpolate" in sys.modules}))
     """)
     assert got["rcs"] == [0, 0, 0, 0, 0]
     assert got["after_fsr"] == []
     assert got["after_baselines"]
+    assert not got["interpolate"]
     for method in ("fsr-ap", "fsr-otf", "nn", "lin"):
         assert (tmp_path / f"{method}.pgm").is_file()
 
