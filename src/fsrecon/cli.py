@@ -32,8 +32,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.mask is not None:
         mask = imgio.read_pbm(args.mask)
     else:
-        if args.density is None:
-            raise ValueError("either --mask or --density/--seed is required")
         mask = generate_mask(image.width, image.height, args.density, args.seed)
     given = {name: getattr(args, flag) for flag, name in _PARAM_FLAGS.items()}
     params = FsrParams(**{k: v for k, v in given.items() if v is not None})
@@ -104,8 +102,8 @@ def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.out)
-    report = run_experiment(config)
-    print(f"{len(report.rows)} runs written to {config.output_dir}")
+    rows = run_experiment(config)
+    print(f"{len(rows)} runs written to {config.output_dir}")
     return 0
 
 
@@ -116,8 +114,9 @@ def main(argv: list[str] | None = None) -> int:
 
     rec = subs.add_parser("reconstruct", help="reconstruct one image")
     rec.add_argument("--input", required=True)
-    rec.add_argument("--mask", help="PBM mask of available samples")
-    rec.add_argument("--density", type=float, help="generate a random mask instead")
+    source = rec.add_mutually_exclusive_group(required=True)
+    source.add_argument("--mask", help="PBM mask of available samples")
+    source.add_argument("--density", type=float, help="generate a random mask instead")
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--method", required=True, choices=METHODS)
     rec.add_argument("--output", required=True)

@@ -20,12 +20,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 
 from .grid import (
     AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs,
-    pad_planes, plane_windows,
+    pad_planes,
 )
 from .priors import build_prior_map, folded_radius_sq
 from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
@@ -35,7 +35,7 @@ class ModelState:
     """Mutable state of the greedy model generation for a stack of F windows.
 
     The weighted residual spectrum is kept for rows 0..M/2 only: every bin
-    of ``_selection_order`` lies there, and the rest follows by Hermitian
+    of ``order`` lies there, and the rest follows by Hermitian
     symmetry.  Each window's weight spectrum is tiled into a (3M/2, 2N)
     tile, two copies side by side and the first M/2 rows of both again
     below, so the spectrum shifted by any bin (u, v), restricted to rows
@@ -70,7 +70,7 @@ class ModelState:
         self.residual_rows = self.weighted_residual_spectrum.reshape(F, -1)
         self.residual_flat = self.residual_rows.reshape(-1)
         self.row_starts = np.arange(F) * self.residual_rows.shape[1]
-        self.order = _selection_order(self.M, self.N)
+        self.order = _position_table(self.M, self.N).bins[0]
         self.inv_weight_sum = (1.0 / self.weight_sum)[:, None]
 
 
@@ -80,27 +80,13 @@ class ReconstructionResult:
     fallback_blocks: list[tuple[int, int]] = field(default_factory=list)
 
 
-@lru_cache(maxsize=8)
-def _selection_order(M: int, N: int) -> NDArray[np.intp]:
-    """Flat bin indices of the canonical half-spectrum, in tie-break order.
-
-    One representative per conjugate pair (the lexicographically smaller
-    index); ordered by folded radial frequency, then (k, l), so that a
-    first-maximum argmax realizes the tie-breaking rule.
-    """
-    kk, ll = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    ck, cl = (M - kk) % M, (N - ll) % N
-    canonical = (kk < ck) | ((kk == ck) & (ll <= cl))
-    radius = folded_radius_sq(kk, ll, M, N)
-    order = np.lexsort((ll.ravel(), kk.ravel(), radius.ravel()))
-    order = order[canonical.ravel()[order]]
-    order.flags.writeable = False
-    return order
-
-
 class _PositionTable(NamedTuple):
-    """Update indices of each position of ``_selection_order``.
+    """Update indices of each searched position.
 
+    The positions are the canonical half-spectrum: one representative per
+    conjugate pair (the lexicographically smaller index), ordered by folded
+    radial frequency, then (k, l), so that a first-maximum argmax realizes
+    the tie-breaking rule.  ``bins[0]`` is that order as flat bin indices.
     Axis 0 of ``offsets`` and ``bins`` is (bin, conjugate partner).
     """
 
@@ -119,7 +105,12 @@ def _position_table(M: int, N: int) -> _PositionTable:
     M - 1 + M/2, and last column, at most 2N - 2, lie inside the (3M/2, 2N)
     tile; a taller tile would hold rows that no slab reads.
     """
-    u, v = np.divmod(_selection_order(M, N), N)
+    kk, ll = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
+    ck, cl = (M - kk) % M, (N - ll) % N
+    canonical = (kk < ck) | ((kk == ck) & (ll <= cl))
+    radius = folded_radius_sq(kk, ll, M, N)
+    order = np.lexsort((ll.ravel(), kk.ravel(), radius.ravel()))
+    u, v = np.divmod(order[canonical.ravel()[order]], N)
     uu, vv = np.stack((u, (M - u) % M)), np.stack((v, (N - v) % N))
     table = _PositionTable(
         offsets=((M - uu) % M) * (2 * N) + (N - vv) % N,
@@ -162,7 +153,7 @@ def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> Mode
 
 
 def projection_coefficients(state: ModelState) -> NDArray[np.complex128]:
-    """Weighted projection of each window's residual at the bins of ``_selection_order``.
+    """Weighted projection of each window's residual at the bins of ``state.order``.
 
     The unit-modulus basis makes the projection denominator collapse to
     the plain weight sum, identical for every frequency.  Row-major flat
@@ -187,7 +178,7 @@ def select_basis(
     """Per window, the position of the largest prior-modulated projection energy.
 
     ``q`` comes from ``projection_coefficients`` and ``prior_weights`` from
-    ``build_prior_map`` at the bins of ``_selection_order``, which the
+    ``build_prior_map`` at the bins of ``state.order``, which the
     result indexes.  The search runs over one representative per conjugate
     pair; partners carry mathematically equal objectives and the update
     treats the pair as a unit.  An all-zero objective yields DC.
@@ -363,7 +354,7 @@ def reconstruct_block_reference(
 
     r = ctx.values.copy()
     g = np.zeros((M, N))
-    order = _selection_order(M, N)
+    order = _position_table(M, N).bins[0]
     for _ in range(params.iterations):
         num = E_M.conj().T @ (r * w) @ E_N.conj()
         p = num / denom
@@ -406,7 +397,8 @@ def reconstruct_image(
     B, b = params.block_size, params.border
 
     labels, out = pad_planes(image, mask, B, b)
-    windows = plane_windows(labels, out, B + 2 * b)  # views: they see every paste-back
+    # views: they see every paste-back
+    windows = [sliding_window_view(p, (B + 2 * b,) * 2) for p in (labels, out)]
     global_mean = float(known_values.mean()) if known_values.size else 128.0
 
     origins = np.mgrid[0:H:B, 0:W:B].reshape(2, -1).T  # block origins in raster order

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 
@@ -33,7 +32,7 @@ class ImageGrid:
     """A 2D scalar sample field on a regular grid.
 
     Samples are stored row-major as float64 in [0, 255] for 8-bit sources.
-    Multi-channel images are handled as independent grids.
+    One channel: ``imgio.read_image`` collapses a colour image to its BT.601 luma.
     """
 
     samples: NDArray[np.float64]
@@ -167,17 +166,6 @@ def pad_planes(
     return labels, values
 
 
-def plane_windows(
-    labels: NDArray[np.uint8], values: NDArray[np.float64], M: int
-) -> tuple[NDArray[np.uint8], NDArray[np.float64]]:
-    """Read-only views of the planes as the M x M window at every plane position.
-
-    Views, not copies: they show every later write to the planes, so one
-    pair serves a whole reconstruction.
-    """
-    return sliding_window_view(labels, (M, M)), sliding_window_view(values, (M, M))
-
-
 def build_block_context(
     labels: NDArray[np.uint8],
     values: NDArray[np.float64],
@@ -188,7 +176,7 @@ def build_block_context(
     """The extrapolation areas of the blocks at image positions ``origins``.
 
     One ``(r0, c0)`` pair gives one (M, N) window, an (F, 2) array a stack
-    of F.  ``labels`` and ``values`` are the ``plane_windows`` of planes
+    of F.  ``labels`` and ``values`` are ``sliding_window_view``s of planes
     from ``pad_planes`` in which the pixels of earlier blocks may be
     relabelled R; values at B positions, such as fallback fills, read as
     zero.  The labels are a copy, so relabelling the planes later leaves

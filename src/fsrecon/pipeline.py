@@ -8,7 +8,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,38 +91,7 @@ class RunRow:
     fallback_blocks: int
 
 
-@dataclass
-class RunReport:
-    rows: list[RunRow] = field(default_factory=list)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(f.name for f in dataclasses.fields(RunRow))
-            writer.writerows(dataclasses.astuple(r) for r in self.rows)
-
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "RunReport":
-        report = cls()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                report.rows.append(
-                    RunRow(
-                        image=rec["image"],
-                        density=float(rec["density"]),
-                        seed=int(rec["seed"]),
-                        method=rec["method"],
-                        tau=float(rec["tau"]) if rec["tau"] else None,
-                        psnr_db=float(rec["psnr_db"]),
-                        seconds=float(rec["seconds"]),
-                        fallback_blocks=int(rec["fallback_blocks"]),
-                    )
-                )
-        return report
-
-
-def run_experiment(config: ExperimentConfig) -> RunReport:
+def run_experiment(config: ExperimentConfig) -> list[RunRow]:
     """Sweep (tau, image, density, seed, method); deterministic apart from timing.
 
     Without ``taus`` the sweep runs ``methods`` at ``params.tau`` and writes
@@ -139,7 +108,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             images.append((image_path, read_image(image_path)))
         except (OSError, ValueError) as exc:
             log.error("skipping %s: %s", image_path, exc)
-    report = RunReport()
+    rows = []
     for tau in config.taus if sweep else [config.params.tau]:
         params = dataclasses.replace(config.params, tau=tau)
         for (image_path, image), density, seed, method in itertools.product(
@@ -149,7 +118,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             t0 = time.perf_counter()
             result = run_method(method, image, mask, params)
             seconds = time.perf_counter() - t0
-            report.rows.append(
+            rows.append(
                 RunRow(
                     image=image_path,
                     density=density,
@@ -163,5 +132,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             )
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out_dir / ("tau_sweep.csv" if sweep else "report.csv"))
-    return report
+    with open(out_dir / ("tau_sweep.csv" if sweep else "report.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(f.name for f in dataclasses.fields(RunRow))
+        writer.writerows(dataclasses.astuple(r) for r in rows)
+    return rows

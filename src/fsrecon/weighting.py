@@ -8,6 +8,7 @@ out-of-image positions carry zero weight.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -43,6 +44,10 @@ class FsrParams:
     prior_kind: PriorKind = PriorKind.ADAPTIVE
 
     def __post_init__(self):
+        for name in ("block_size", "border", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.rho_hat <= 1.0:
             raise ValueError(f"rho_hat must be in (0, 1], got {self.rho_hat}")
         if not 0.0 < self.delta <= 1.0:
@@ -83,18 +88,25 @@ def decay_map(M: int, N: int, rho_hat: float) -> NDArray[np.float64]:
     return decay
 
 
+def _weights(labels: NDArray[np.uint8], M: int, N: int, params: FsrParams) -> NDArray[np.float64]:
+    """rho^d on A, delta*rho^d on R, else 0, for labels that broadcast to (M, N)."""
+    decay = decay_map(M, N, params.rho_hat)
+    w = np.where(labels == AreaLabel.A.value, decay, 0.0)
+    w += np.where(labels == AreaLabel.R.value, params.delta * decay, 0.0)
+    return w
+
+
 def spatial_weight(m: int, n: int, label: AreaLabel, M: int, N: int, params: FsrParams) -> float:
-    """Weight of a single position: rho^d on A, delta*rho^d on R, else 0."""
-    if label in (AreaLabel.B, AreaLabel.OUTSIDE):
-        return 0.0
-    w = decay_map(M, N, params.rho_hat)[m, n]
-    return float(params.delta * w if label == AreaLabel.R else w)
+    """Weight of a single position: rho^d on A, delta*rho^d on R, else 0.
+
+    Evaluated through the same array expression as ``build_weight_map``, so
+    it equals that function's weight bit for bit.
+    """
+    return float(_weights(np.array(label), M, N, params)[m, n])
 
 
 def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:
-    decay = decay_map(ctx.M, ctx.N, params.rho_hat)
-    w = np.where(ctx.labels == AreaLabel.A.value, decay, 0.0)
-    w += np.where(ctx.labels == AreaLabel.R.value, params.delta * decay, 0.0)
+    w = _weights(ctx.labels, ctx.M, ctx.N, params)
     return WeightMap(w=w, weight_sum=np.sum(w, axis=(-2, -1)))
 
 

@@ -5,7 +5,6 @@ from fsrecon.core import (
     _dft_exponentials,
     _position_table,
     _selection_objective,
-    _selection_order,
     init_model_state,
     projection_coefficients,
     reconstruct_block,
@@ -49,11 +48,11 @@ def full_ctx(values):
 
 def bin_of(j, N):
     """(u, v) of the selected position of window 0."""
-    return divmod(int(_selection_order(N, N)[j[0]]), N)
+    return divmod(int(_position_table(N, N).bins[0][j[0]]), N)
 
 
 def position_of(u, v, N):
-    return np.flatnonzero(_selection_order(N, N) == u * N + v)
+    return np.flatnonzero(_position_table(N, N).bins[0] == u * N + v)
 
 
 def brute_force_dft(x):
@@ -340,7 +339,6 @@ class TestCachedTables:
     @pytest.mark.parametrize(
         "table",
         [
-            lambda: _selection_order(8, 8),
             lambda: _position_table(8, 8).offsets,
             lambda: _position_table(8, 8).bins,
             lambda: _position_table(8, 8).self_conjugate,
@@ -348,7 +346,6 @@ class TestCachedTables:
             lambda: decay_map(8, 8, 0.7),
         ],
         ids=[
-            "selection_order",
             "position_table.offsets",
             "position_table.bins",
             "position_table.self_conjugate",
@@ -362,7 +359,7 @@ class TestCachedTables:
 
     @pytest.mark.parametrize("M", range(2, 65, 2))
     def test_selection_lies_in_the_half_spectrum(self, M):
-        order = _selection_order(M, M)
+        order = _position_table(M, M).bins[0]
         assert len(order) == M * M // 2 + 2
         assert order.max() // M <= M // 2
 

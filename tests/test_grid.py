@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fsrecon.grid import (
     AreaLabel,
@@ -9,7 +10,6 @@ from fsrecon.grid import (
     build_block_context,
     generate_mask,
     pad_planes,
-    plane_windows,
 )
 
 
@@ -55,7 +55,8 @@ def _context(img, mask, block_pos, block_size, border, recon=None):
     labels, values = pad_planes(img, mask, block_size, border)
     if recon is not None:
         labels[border : border + img.height, border : border + img.width][recon] = AreaLabel.R
-    windows = plane_windows(labels, values, block_size + 2 * border)
+    M = block_size + 2 * border
+    windows = sliding_window_view(labels, (M, M)), sliding_window_view(values, (M, M))
     return build_block_context(*windows, block_pos, block_size, border)
 
 
@@ -64,7 +65,7 @@ class TestBuildBlockContext:
         img = ImageGrid(np.arange(36.0).reshape(6, 6))
         mask = SamplingMask(np.zeros((6, 6), dtype=bool))
         labels, values = pad_planes(img, mask, 2, 1)
-        windows = plane_windows(labels, values, 4)
+        windows = sliding_window_view(labels, (4, 4)), sliding_window_view(values, (4, 4))
         labels[3, 3], values[3, 3] = AreaLabel.R, 7.0
         ctx = build_block_context(*windows, (2, 2), 2, 1)
         assert ctx.labels[1, 1] == AreaLabel.R and ctx.values[1, 1] == 7.0
@@ -118,7 +119,8 @@ class TestBuildBlockContext:
         values[inside][recon | fallback] = recon_vals[recon | fallback]
         assert np.any(fallback)
         origins = [(r0, c0) for r0 in range(0, H, B) for c0 in range(0, W, B)]
-        windows = plane_windows(labels, values, B + 2 * b)
+        M = B + 2 * b
+        windows = sliding_window_view(labels, (M, M)), sliding_window_view(values, (M, M))
         ctxs = [build_block_context(*windows, o, B, b) for o in origins]
         stacked = build_block_context(*windows, np.array(origins), B, b)
         assert stacked.labels.shape == (len(origins), B + 2 * b, B + 2 * b)

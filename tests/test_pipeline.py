@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -11,12 +12,16 @@ from fsrecon.imgio import read_pgm, write_pgm
 from fsrecon.pipeline import (
     METHODS,
     ExperimentConfig,
-    RunReport,
     psnr,
     run_experiment,
     run_method,
 )
 from fsrecon.weighting import FsrParams
+
+
+def read_records(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +66,7 @@ class TestRunExperiment:
         )
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
-        assert [row.psnr_db for row in r1.rows] == [row.psnr_db for row in r2.rows]
+        assert [row.psnr_db for row in r1] == [row.psnr_db for row in r2]
 
     def test_csv_round_trip(self, test_image, tmp_path):
         cfg = ExperimentConfig(
@@ -72,11 +77,14 @@ class TestRunExperiment:
             params=FsrParams(block_size=4, border=4, iterations=5),
             output_dir=str(tmp_path),
         )
-        report = run_experiment(cfg)
-        back = RunReport.read_csv(tmp_path / "report.csv")
-        assert len(back.rows) == len(report.rows) == 12
-        for a, b in zip(report.rows, back.rows):
-            assert a == b
+        rows = run_experiment(cfg)
+        with open(tmp_path / "report.csv", newline="") as fh:
+            header, *records = csv.reader(fh)
+        assert header == "image,density,seed,method,tau,psnr_db,seconds,fallback_blocks".split(",")
+        assert len(records) == len(rows) == 12
+        assert any(row.tau is None for row in rows)
+        for row, record in zip(rows, records):
+            assert record == ["" if v is None else str(v) for v in dataclasses.astuple(row)]
 
     def test_unreadable_input_recorded_and_continues(self, test_image, tmp_path):
         cfg = ExperimentConfig(
@@ -86,8 +94,8 @@ class TestRunExperiment:
             methods=["nn"],
             output_dir=str(tmp_path),
         )
-        report = run_experiment(cfg)
-        assert len(report.rows) == 1
+        rows = run_experiment(cfg)
+        assert len(rows) == 1
 
     def test_psnr_non_decreasing_in_density(self, test_image, tmp_path):
         cfg = ExperimentConfig(
@@ -97,9 +105,9 @@ class TestRunExperiment:
             methods=["lin"],
             output_dir=str(tmp_path),
         )
-        report = run_experiment(cfg)
+        rows = run_experiment(cfg)
         means = [
-            np.mean([r.psnr_db for r in report.rows if (r.method, r.density) == ("lin", d)])
+            np.mean([r.psnr_db for r in rows if (r.method, r.density) == ("lin", d)])
             for d in cfg.densities
         ]
         assert means == sorted(means)
@@ -118,8 +126,8 @@ class TestSweepTau:
         )
         direct = run_experiment(cfg)
         swept = run_experiment(dataclasses.replace(cfg, taus=[params.tau]))
-        assert swept.rows[0].psnr_db == direct.rows[0].psnr_db
-        assert swept.rows[0].tau == params.tau
+        assert swept[0].psnr_db == direct[0].psnr_db
+        assert swept[0].tau == params.tau
 
         # tau is the outermost axis: two taus over two readable images with
         # an unreadable one between them give the per-tau direct runs in
@@ -140,14 +148,14 @@ class TestSweepTau:
             one = dataclasses.replace(
                 cfg, methods=["fsr-ap"], params=dataclasses.replace(params, tau=tau)
             )
-            direct += run_experiment(one).rows
+            direct += run_experiment(one)
 
         def untimed(rows):
             return [dataclasses.replace(r, seconds=0.0) for r in rows]
 
-        assert len(swept.rows) == 16
-        assert untimed(swept.rows) == untimed(direct)
-        assert [r.tau for r in swept.rows] == [1.0] * 8 + [3.0] * 8
+        assert len(swept) == 16
+        assert untimed(swept) == untimed(direct)
+        assert [r.tau for r in swept] == [1.0] * 8 + [3.0] * 8
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -200,6 +208,18 @@ class TestCli:
         assert rc == 0
         img = read_pgm(out)
         assert (img.height, img.width) == (32, 32)
+
+    @pytest.mark.parametrize(
+        "source", [["--mask", "m.pbm", "--density", "0.5"], []], ids=["both", "neither"]
+    )
+    def test_reconstruct_takes_exactly_one_mask_source(self, test_image, tmp_path, capsys, source):
+        out = tmp_path / "out.pgm"
+        argv = ["reconstruct", "--input", test_image, *source, "--method", "nn", "--output", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "--mask" in capsys.readouterr().err
 
     def test_bad_density_exits_nonzero(self, test_image, tmp_path):
         rc = cli_main(
@@ -305,8 +325,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
-        report = RunReport.read_csv(tmp_path / "out" / "report.csv")
-        assert len(report.rows) == 2
+        assert len(read_records(tmp_path / "out" / "report.csv")) == 2
 
     def test_bench_flat_config_with_tau_sweep(self, test_image, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -325,8 +344,8 @@ class TestCli:
             )
         )
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
-        report = RunReport.read_csv(tmp_path / "sweep" / "tau_sweep.csv")
-        assert sorted({r.tau for r in report.rows}) == [1.0, 2.0]
+        records = read_records(tmp_path / "sweep" / "tau_sweep.csv")
+        assert sorted({float(r["tau"]) for r in records}) == [1.0, 2.0]
 
     @pytest.mark.parametrize("axis", ["densities", "seeds", "taus"])
     def test_bench_empty_axis_exits_with_message(self, test_image, tmp_path, capsys, axis):

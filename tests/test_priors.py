@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fsrecon.core import _selection_order
+from fsrecon.core import _position_table
 from fsrecon.priors import (
     ALPHA_MAX, adaptive_prior, alpha_of_omega, build_prior_map, otf_prior,
 )
@@ -138,7 +138,7 @@ class TestPriorMap:
         rng = np.random.default_rng(16)
         special = [0.0, 1.0, 1e-300, 0.5, math.exp(-2.0), math.exp(-0.5)]
         omega = np.concatenate([rng.random(300), 10.0 ** rng.uniform(-40, 0, 100), special])
-        bins = _selection_order(M, M)
+        bins = _position_table(M, M).bins[0]
         weights = build_prior_map(PriorKind.ADAPTIVE, M, M, omega, bins, p)
         assert weights.shape == (len(omega), len(bins))
         k, l = np.divmod(bins, M)

@@ -7,13 +7,14 @@ fallback value taken from the known samples of raster-earlier blocks.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsrecon import core
 from fsrecon.core import reconstruct_block, reconstruct_image
 from fsrecon.grid import (
-    AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes, plane_windows,
+    AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes,
 )
 from fsrecon.priors import build_prior_map
 from fsrecon.weighting import FsrParams, PriorKind, build_weight_map
@@ -23,7 +24,8 @@ def raster_reconstruction(image, mask, params, block_fn):
     H, W = image.height, image.width
     B, b = params.block_size, params.border
     labels, out = pad_planes(image, mask, B, b)
-    windows = plane_windows(labels, out, B + 2 * b)
+    M = B + 2 * b
+    windows = sliding_window_view(labels, (M, M)), sliding_window_view(out, (M, M))
     known = mask.flags
     global_mean = float(image.samples[known].mean()) if known.any() else 128.0
     seen_sum, seen_cnt = 0.0, 0

@@ -182,3 +182,22 @@ class TestFsrParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FsrParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"iterations": 2.5}, "iterations"),
+            ({"iterations": True}, "iterations"),
+            ({"block_size": 4.0, "border": 2.0}, "block_size"),
+            ({"border": 2.0}, "border"),
+            ({"border": np.True_}, "border"),
+        ],
+        ids=["fraction", "bool", "float-pair", "float", "numpy-bool"],
+    )
+    def test_rejects_non_integer_counts(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FsrParams(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        p = FsrParams(block_size=np.int64(4), border=np.int32(2), iterations=np.int64(2))
+        assert (p.block_size, p.border, p.iterations) == (4, 2, 2)
