@@ -32,7 +32,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.mask is not None:
         mask = imgio.read_pbm(args.mask)
     else:
-        mask = generate_mask(image.width, image.height, args.density, args.seed)
+        mask = generate_mask(image.width, image.height, args.density, args.seed or 0)
     given = {name: getattr(args, flag) for flag, name in _PARAM_FLAGS.items()}
     params = FsrParams(**{k: v for k, v in given.items() if v is not None})
     result = run_method(args.method, image, mask, params)
@@ -42,62 +42,26 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-# the method sets prior_kind, so a bench config may not
-_PARAM_KEYS = {f.name for f in dataclasses.fields(FsrParams)} - {"prior_kind"}
-_CONFIG_KEYS = _PARAM_KEYS | {"images", "densities", "seeds", "methods", "taus", "output_dir"}
-
-
-def _convert(key: str, value, conv):
-    """``conv(value)``; rejects None, bools and, for ints, non-integral numbers."""
-    try:
-        fraction = conv is int and isinstance(value, float) and not value.is_integer()
-        if value is None or isinstance(value, bool) or fraction:
-            raise ValueError
-        return conv(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(f"config key {key}: {value!r} is not a valid {conv.__name__}") from None
-
-
 def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
-    """Parse a JSON or flat key=value experiment config; ``output_dir`` overrides its own."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        raw = json.loads(text)
-    else:
-        raw = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-
-    def as_list(key, conv, default=None):
-        v = raw.get(key, default)
-        if isinstance(v, str):
-            v = [x for x in v.split(",") if x]
-        if not isinstance(v, list):
-            raise ValueError(f"config key {key} must be a list, got {v!r}")
-        return [_convert(key, x, conv) for x in v]
-
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    """Read a JSON experiment config, values unconverted; ``output_dir`` overrides its own."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} is not a JSON object")
+    param_keys = {f.name for f in dataclasses.fields(FsrParams)}
+    allowed = param_keys | {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
+    unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ValueError(f"config {path} has unknown key(s): {', '.join(unknown)}")
     missing = [key for key in ("images", "densities") if key not in raw]
     if missing:
         raise ValueError(f"config {path} lacks required key(s): {', '.join(missing)}")
-    overrides = {
-        k: _convert(k, raw[k], type(getattr(FsrParams(), k))) for k in _PARAM_KEYS & set(raw)
-    }
-    return ExperimentConfig(
-        images=as_list("images", str),
-        densities=as_list("densities", float),
-        seeds=as_list("seeds", int, [0]),
-        methods=as_list("methods", str, list(METHODS)),
-        params=FsrParams(**overrides),
-        output_dir=output_dir or _convert("output_dir", raw.get("output_dir", "."), str),
-        taus=as_list("taus", float) if "taus" in raw else None,
-    )
+    params = FsrParams(**{k: raw.pop(k) for k in param_keys & set(raw)})
+    if output_dir:
+        raw["output_dir"] = output_dir
+    return ExperimentConfig(**raw, params=params)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -117,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     source = rec.add_mutually_exclusive_group(required=True)
     source.add_argument("--mask", help="PBM mask of available samples")
     source.add_argument("--density", type=float, help="generate a random mask instead")
-    rec.add_argument("--seed", type=int, default=0)
+    rec.add_argument("--seed", type=int, help="mask seed for --density (default 0)")
     rec.add_argument("--method", required=True, choices=METHODS)
     rec.add_argument("--output", required=True)
     for flag, name in _PARAM_FLAGS.items():
@@ -130,6 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.density is None:
+        rec.error("--seed applies only with --density")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

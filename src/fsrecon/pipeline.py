@@ -7,8 +7,9 @@ import dataclasses
 import itertools
 import logging
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from .baselines import import_scipy, linear_triangulation_fill, nearest_neighbor
 from .core import ReconstructionResult, reconstruct_image
 from .grid import ImageGrid, SamplingMask, generate_mask
 from .imgio import read_image
-from .weighting import FsrParams, PriorKind
+from .weighting import FsrParams, PriorKind, check_kind
 
 log = logging.getLogger(__name__)
 
@@ -54,22 +55,31 @@ def run_method(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep over every (tau, image, density, seed, method); each value is checked here."""
+
     images: list[str]
     densities: list[float]
-    seeds: list[int]
-    methods: list[str]
+    seeds: list[int] = field(default_factory=lambda: [0])
+    methods: list[str] = field(default_factory=lambda: list(METHODS))
     params: FsrParams = FsrParams()
     output_dir: str = "."
-    taus: list[float] | None = None  # a tau sweep of fsr-ap; methods then go unused
+    taus: list[float] | None = None  # None: [params.tau]
 
     def __post_init__(self):
         for axis in ("images", "methods", "densities", "seeds", "taus"):
-            if getattr(self, axis) is not None and len(getattr(self, axis)) == 0:
-                raise ValueError(f"{axis} must not be empty")
+            values = getattr(self, axis)
+            if values is not None or axis != "taus":
+                check_kind(axis, values, list, "a list")
+                if not values:
+                    raise ValueError(f"{axis} must not be empty")
+        for image in self.images:
+            check_kind("each of images", image, str, "a string")
         for d in self.densities:
+            check_kind("each of densities", d, numbers.Real, "a real number")
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"density {d} outside (0, 1]")
         for seed in self.seeds:
+            check_kind("each of seeds", seed, numbers.Integral, "an integer")
             if seed < 0:
                 raise ValueError(f"seeds must be non-negative, got {seed}")
         for t in self.taus or ():
@@ -77,6 +87,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        check_kind("output_dir", self.output_dir, str, "a string")
+        if self.params.prior_kind is not FsrParams.prior_kind:
+            raise ValueError("params.prior_kind must keep its default: each method sets its prior")
 
 
 @dataclass(frozen=True)
@@ -92,15 +105,13 @@ class RunRow:
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRow]:
-    """Sweep (tau, image, density, seed, method); deterministic apart from timing.
+    """Run every (tau, image, density, seed, method), tau outermost; write ``report.csv``.
 
-    Without ``taus`` the sweep runs ``methods`` at ``params.tau`` and writes
-    ``report.csv``; with ``taus`` it runs ``fsr-ap`` at each tau and writes
-    ``tau_sweep.csv``.  Unreadable images are logged and skipped.  The
-    ``seconds`` of a run exclude one-time imports.
+    Deterministic apart from timing.  Methods without a prior run at every
+    tau and record it as None.  Unreadable images are logged and skipped.
+    The ``seconds`` of a run exclude one-time imports.
     """
-    sweep = config.taus is not None
-    if not sweep and {"lin", "nn"} & set(config.methods):
+    if {"lin", "nn"} & set(config.methods):
         import_scipy()  # before the first timed baseline run
     images = []
     for image_path in config.images:
@@ -109,30 +120,29 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
         except (OSError, ValueError) as exc:
             log.error("skipping %s: %s", image_path, exc)
     rows = []
-    for tau in config.taus if sweep else [config.params.tau]:
+    for tau, (image_path, image), density, seed, method in itertools.product(
+        config.taus or [config.params.tau], images, config.densities, config.seeds, config.methods
+    ):
         params = dataclasses.replace(config.params, tau=tau)
-        for (image_path, image), density, seed, method in itertools.product(
-            images, config.densities, config.seeds, ["fsr-ap"] if sweep else config.methods
-        ):
-            mask = generate_mask(image.width, image.height, density, seed)
-            t0 = time.perf_counter()
-            result = run_method(method, image, mask, params)
-            seconds = time.perf_counter() - t0
-            rows.append(
-                RunRow(
-                    image=image_path,
-                    density=density,
-                    seed=seed,
-                    method=method,
-                    tau=tau if method in _PRIOR_BY_METHOD else None,
-                    psnr_db=psnr(image, result.image),
-                    seconds=seconds,
-                    fallback_blocks=len(result.fallback_blocks),
-                )
+        mask = generate_mask(image.width, image.height, density, seed)
+        t0 = time.perf_counter()
+        result = run_method(method, image, mask, params)
+        seconds = time.perf_counter() - t0
+        rows.append(
+            RunRow(
+                image=image_path,
+                density=float(density),
+                seed=seed,
+                method=method,
+                tau=float(tau) if method in _PRIOR_BY_METHOD else None,
+                psnr_db=psnr(image, result.image),
+                seconds=seconds,
+                fallback_blocks=len(result.fallback_blocks),
             )
+        )
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / ("tau_sweep.csv" if sweep else "report.csv"), "w", newline="") as fh:
+    with open(out_dir / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(f.name for f in dataclasses.fields(RunRow))
         writer.writerows(dataclasses.astuple(r) for r in rows)

@@ -25,6 +25,12 @@ class PriorKind(Enum):
     NONE = "none"
 
 
+def check_kind(name: str, value, kind: type, what: str) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a ``kind``; bools never are."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FsrParams:
     """Tunables of the reconstruction.
@@ -45,15 +51,13 @@ class FsrParams:
 
     def __post_init__(self):
         for name in ("block_size", "border", "iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 < self.rho_hat <= 1.0:
-            raise ValueError(f"rho_hat must be in (0, 1], got {self.rho_hat}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+            check_kind(name, getattr(self, name), numbers.Integral, "an integer")
+        for name in ("rho_hat", "delta", "gamma", "tau"):
+            check_kind(name, getattr(self, name), numbers.Real, "a real number")
+        check_kind("prior_kind", self.prior_kind, PriorKind, "a PriorKind")
+        for name in ("rho_hat", "delta", "gamma"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
         if not self.tau > 0.0:  # NaN included
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.block_size < 1 or self.border < 0:
@@ -102,6 +106,8 @@ def spatial_weight(m: int, n: int, label: AreaLabel, M: int, N: int, params: Fsr
     Evaluated through the same array expression as ``build_weight_map``, so
     it equals that function's weight bit for bit.
     """
+    if not (0 <= m < M and 0 <= n < N):
+        raise ValueError(f"position ({m}, {n}) is outside the {M}x{N} window")
     return float(_weights(np.array(label), M, N, params)[m, n])
 
 

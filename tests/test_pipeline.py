@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fsrecon.pipeline import (
     run_experiment,
     run_method,
 )
-from fsrecon.weighting import FsrParams
+from fsrecon.weighting import FsrParams, PriorKind
 
 
 def read_records(path):
@@ -130,8 +131,8 @@ class TestSweepTau:
         assert swept[0].tau == params.tau
 
         # tau is the outermost axis: two taus over two readable images with
-        # an unreadable one between them give the per-tau direct runs in
-        # tau order, fsr-ap only whatever the methods
+        # an unreadable one between them give, for fsr-ap, the per-tau
+        # direct runs in tau order; the other listed methods run at every tau
         flipped = tmp_path / "flipped.pgm"
         write_pgm(flipped, ImageGrid(read_pgm(test_image).samples[::-1]))
         cfg = dataclasses.replace(
@@ -143,19 +144,28 @@ class TestSweepTau:
         )
         taus = [1.0, 3.0]
         swept = run_experiment(dataclasses.replace(cfg, taus=taus))
+        records = read_records(tmp_path / "report.csv")
         direct = []
         for tau in taus:
             one = dataclasses.replace(
                 cfg, methods=["fsr-ap"], params=dataclasses.replace(params, tau=tau)
             )
             direct += run_experiment(one)
+        nn_once = run_experiment(dataclasses.replace(cfg, methods=["nn"]))
 
         def untimed(rows):
             return [dataclasses.replace(r, seconds=0.0) for r in rows]
 
-        assert len(swept) == 16
-        assert untimed(swept) == untimed(direct)
-        assert [r.tau for r in swept] == [1.0] * 8 + [3.0] * 8
+        assert len(swept) == 32
+        assert untimed(r for r in swept if r.method == "fsr-ap") == untimed(direct)
+        assert [r.tau for r in swept if r.method == "fsr-ap"] == [1.0] * 8 + [3.0] * 8
+        nn_rows = [r for r in swept if r.method == "nn"]
+        assert untimed(nn_rows) == untimed(nn_once) * 2
+        assert [r.method for r in swept] == ["nn", "fsr-ap"] * 16
+        assert [(r["method"], r["tau"]) for r in records] == [
+            (r.method, "" if r.tau is None else str(r.tau)) for r in swept
+        ]
+        assert not (tmp_path / "tau_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -184,6 +194,33 @@ def test_config_rejects_a_non_positive_tau_before_running(taus):
         ExperimentConfig(
             images=["img.pgm"], densities=[0.5], seeds=[1], methods=["nn"], taus=taus
         )
+
+
+def test_config_defaults_to_seed_0_and_every_method():
+    cfg = ExperimentConfig(images=["img.pgm"], densities=[0.5])
+    assert (cfg.seeds, cfg.methods, cfg.taus) == ([0], list(METHODS), None)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seeds": [1.5]}, "each of seeds must be an integer, got 1.5"),
+        ({"seeds": [True]}, "each of seeds must be an integer, got True"),
+        ({"densities": [True]}, "each of densities must be a real number, got True"),
+        ({"densities": ["0.3"]}, "each of densities must be a real number, got '0.3'"),
+        ({"images": [5]}, "each of images must be a string, got 5"),
+        ({"methods": [5]}, "unknown method 5"),
+        ({"taus": [True]}, "tau must be a real number, got True"),
+        ({"densities": 0.5}, "densities must be a list, got 0.5"),
+        ({"images": "img.pgm"}, "images must be a list, got 'img.pgm'"),
+        ({"taus": (1.0,)}, "taus must be a list, got (1.0,)"),
+        ({"output_dir": None}, "output_dir must be a string, got None"),
+        ({"params": FsrParams(prior_kind=PriorKind.OTF)}, "prior_kind must keep its default"),
+    ],
+)
+def test_config_rejects_a_mistyped_value(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{"images": ["img.pgm"], "densities": [0.5], **kwargs})
 
 
 @pytest.mark.parametrize("seeds", [[-1], [1, -1], [0, 2, -3]])
@@ -220,6 +257,18 @@ class TestCli:
         assert exc.value.code == 2
         assert not out.exists()
         assert "--mask" in capsys.readouterr().err
+
+    def test_reconstruct_rejects_seed_without_density(self, test_image, tmp_path, capsys):
+        mask = tmp_path / "m.pbm"
+        mask.write_bytes(b"P4\n32 32\n" + bytes(128))
+        out = tmp_path / "out.pgm"
+        argv = ["reconstruct", "--input", test_image, "--mask", str(mask), "--seed", "7",
+                "--method", "nn", "--output", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "--seed" in capsys.readouterr().err
 
     def test_bad_density_exits_nonzero(self, test_image, tmp_path):
         rc = cli_main(
@@ -327,32 +376,52 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
         assert len(read_records(tmp_path / "out" / "report.csv")) == 2
 
-    def test_bench_flat_config_with_tau_sweep(self, test_image, tmp_path):
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(
-            "\n".join(
-                [
-                    f"images={test_image}",
-                    "densities=0.5",
-                    "seeds=1",
-                    "block_size=4",
-                    "border=4",
-                    "iterations=5",
-                    "taus=1.0,2.0",
-                    f"output_dir={tmp_path / 'sweep'}",
-                ]
-            )
-        )
+    def test_bench_taus_axis_runs_every_method(self, test_image, tmp_path):
+        cfg = {
+            "images": [test_image],
+            "densities": [0.5],
+            "seeds": [1],
+            "methods": ["fsr-ap", "nn"],
+            "block_size": 4,
+            "border": 4,
+            "iterations": 5,
+            "taus": [1.0, 2.0],
+            "output_dir": str(tmp_path / "sweep"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
-        records = read_records(tmp_path / "sweep" / "tau_sweep.csv")
-        assert sorted({float(r["tau"]) for r in records}) == [1.0, 2.0]
+        records = read_records(tmp_path / "sweep" / "report.csv")
+        assert [(r["method"], r["tau"]) for r in records] == [
+            ("fsr-ap", "1.0"), ("nn", ""), ("fsr-ap", "2.0"), ("nn", "")
+        ]
+        assert not (tmp_path / "sweep" / "tau_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "images=img.pgm\ndensities=0.5\nmethods=nn\n",  # the old flat syntax
+            '["img.pgm"]',
+            '{"images": ["img.pgm"],',
+        ],
+        ids=["flat", "not-an-object", "truncated"],
+    )
+    def test_bench_non_json_object_config_exits_with_message(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        before = sorted(tmp_path.iterdir())
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(cfg_path) in err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("axis", ["densities", "seeds", "taus"])
     def test_bench_empty_axis_exits_with_message(self, test_image, tmp_path, capsys, axis):
-        lines = [f"images={test_image}", "densities=0.5", "seeds=1", "methods=nn"]
-        lines = [ln for ln in lines if not ln.startswith(axis)] + [f"{axis}="]
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text("\n".join(lines + [f"output_dir={tmp_path / 'out'}"]))
+        cfg = {"images": [test_image], "densities": [0.5], "seeds": [1], "methods": ["nn"]}
+        cfg[axis] = []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "out")}))
         assert cli_main(["bench", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -375,28 +444,27 @@ class TestCli:
     @pytest.mark.parametrize(
         "entry, key",
         [
-            ("seed=5", "seed"),  # a typo for seeds
+            pytest.param('"seed": 5', "seed", id="seed=5-seed"),  # a typo for seeds
             ('"prior_kind": "otf"', "prior_kind"),  # the method sets the prior
             ('"densities": 0.3', "densities"),
             ('"densities": null', "densities"),
             ('"seeds": [1.7]', "seeds"),
             ('"iterations": true', "iterations"),
-            ("iterations=2.5", "iterations"),
+            pytest.param('"iterations": 2.5', "iterations", id="iterations=2.5-iterations"),
+            ('"iterations": 2.0', "iterations"),
+            ('"tau": "2"', "tau"),
+            ('"densities": ["0.3"]', "densities"),
+            ('"params": {}', "params"),
         ],
     )
     def test_bench_malformed_config_exits_with_message(
         self, test_image, tmp_path, capsys, entry, key
     ):
         out = tmp_path / "out"
-        if "=" in entry:
-            lines = [f"images={test_image}", "densities=0.5", "methods=nn", entry]
-            cfg_path = tmp_path / "cfg.txt"
-            cfg_path.write_text("\n".join(lines + [f"output_dir={out}"]))
-        else:
-            cfg = {"images": [test_image], "densities": [0.5], "methods": ["fsr-ap"]}
-            cfg.update(json.loads("{" + entry + "}"))
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
+        cfg = {"images": [test_image], "densities": [0.5], "methods": ["fsr-ap"]}
+        cfg.update(json.loads("{" + entry + "}"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
         assert cli_main(["bench", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")

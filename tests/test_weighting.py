@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ def ref_weight(m, n, label, M, N, params):
 
 
 class TestSpatialWeight:
+    @pytest.mark.parametrize("mn", [(-1, 0), (32, 0), (0, 32), (0, -1)])
+    def test_rejects_a_position_outside_the_window(self, mn):
+        with pytest.raises(ValueError, match="outside the 32x32 window"):
+            spatial_weight(*mn, AreaLabel.A, 32, 32, FsrParams())
+
     def test_unknown_is_zero(self):
         p = FsrParams()
         for mn in [(0, 0), (5, 20), (16, 16)]:
@@ -196,6 +203,21 @@ class TestFsrParams:
     )
     def test_rejects_non_integer_counts(self, kwargs, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FsrParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tau": True}, "tau must be a real number, got True"),
+            ({"gamma": None}, "gamma must be a real number, got None"),
+            ({"rho_hat": "0.7"}, "rho_hat must be a real number, got '0.7'"),
+            ({"delta": np.True_}, "delta must be a real number, got "),
+            ({"prior_kind": "adaptive"}, "prior_kind must be a PriorKind, got 'adaptive'"),
+            ({"prior_kind": "otf"}, "prior_kind must be a PriorKind, got 'otf'"),
+        ],
+    )
+    def test_rejects_mistyped_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             FsrParams(**kwargs)
 
     def test_accepts_numpy_integers(self):
