@@ -3,28 +3,19 @@
 from .core import reconstruct_block_reference, reconstruct_image
 from .grid import ImageGrid, SamplingMask, generate_mask
 from .pipeline import psnr
-from .priors import adaptive_prior, alpha_of_omega, otf_prior
-from .weighting import (
-    FsrParams,
-    PriorKind,
-    build_weight_map,
-    effective_density,
-    spatial_weight,
-)
+from .priors import PriorKind, alpha_of_omega
+from .weighting import FsrParams, build_weight_map, effective_density
 
 __all__ = [
     "FsrParams",
     "ImageGrid",
     "PriorKind",
     "SamplingMask",
-    "adaptive_prior",
     "alpha_of_omega",
     "build_weight_map",
     "effective_density",
     "generate_mask",
-    "otf_prior",
     "psnr",
     "reconstruct_block_reference",
     "reconstruct_image",
-    "spatial_weight",
 ]

@@ -27,8 +27,8 @@ from .grid import (
     AreaLabel, BlockContext, ImageGrid, SamplingMask, build_block_context, check_inputs,
     pad_planes,
 )
-from .priors import build_prior_map, folded_radius_sq
-from .weighting import FsrParams, WeightMap, build_weight_map, effective_density
+from .priors import PriorKind, build_prior_map, folded_radius_sq, prior_alphas
+from .weighting import FsrParams, WeightMap, build_weight_map, check_kind, effective_density
 
 @dataclass
 class ModelState:
@@ -269,6 +269,7 @@ def _reconstruct_blocks(
     params: FsrParams,
     fallback_values: NDArray[np.float64],
     traces: Sequence[list] | None = None,
+    prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Center patches (F, B, B) and fallback flags (F,) of a stack of independent windows.
 
@@ -284,9 +285,8 @@ def _reconstruct_blocks(
     idx = np.flatnonzero(~fallback)
     if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
-        prior_weights = build_prior_map(
-            params.prior_kind, ctx.M, ctx.N, omega[idx], state.order, params
-        )
+        alphas = prior_alphas(prior, omega[idx], params)
+        prior_weights = build_prior_map(ctx.M, ctx.N, alphas, state.order)
         for _ in range(params.iterations):
             q = projection_coefficients(state)
             j = select_basis(q, prior_weights)
@@ -304,6 +304,7 @@ def reconstruct_block(
     params: FsrParams,
     fallback_value: float = 128.0,
     selection_trace: list | None = None,
+    prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> tuple[NDArray[np.float64], bool]:
     """Reconstruct the center block of one window; FFT fast path.
 
@@ -313,7 +314,9 @@ def reconstruct_block(
     """
     stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
-    patches, fallback = _reconstruct_blocks(stack, params, np.array([fallback_value]), traces)
+    patches, fallback = _reconstruct_blocks(
+        stack, params, np.array([fallback_value]), traces, prior
+    )
     return patches[0], bool(fallback[0])
 
 
@@ -331,6 +334,7 @@ def reconstruct_block_reference(
     fallback_value: float = 128.0,
     selection_trace: list | None = None,
     energy_trace: list | None = None,
+    prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> tuple[NDArray[np.float64], bool]:
     """Literal spatial-domain implementation of the same model generation.
 
@@ -339,13 +343,16 @@ def reconstruct_block_reference(
     updates the residual per basis function.  Serves as the oracle for
     the fast path; O(iterations * (M*N)^2).
     """
+    check_kind("prior", prior, PriorKind, "a PriorKind")
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
     if omega == 0.0:
         return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
     M, N = ctx.M, ctx.N
-    prior = build_prior_map(params.prior_kind, M, N, np.array([omega]), np.arange(M * N), params)
+    prior_weights = build_prior_map(
+        M, N, prior_alphas(prior, np.array([omega]), params), np.arange(M * N)
+    )
     w = wm.w
     E_M = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
     E_N = _dft_exponentials(N)
@@ -358,7 +365,7 @@ def reconstruct_block_reference(
     for _ in range(params.iterations):
         num = E_M.conj().T @ (r * w) @ E_N.conj()
         p = num / denom
-        obj = (p.real**2 + p.imag**2) * prior.reshape(M, N) * denom
+        obj = (p.real**2 + p.imag**2) * prior_weights.reshape(M, N) * denom
         flat = obj.ravel()[order]
         idx = order[int(np.argmax(flat))]
         u, v = int(idx // N), int(idx % N)
@@ -378,7 +385,8 @@ def reconstruct_block_reference(
 
 
 def reconstruct_image(
-    image: ImageGrid, mask: SamplingMask, params: FsrParams
+    image: ImageGrid, mask: SamplingMask, params: FsrParams,
+    prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> ReconstructionResult:
     """Block-wise reconstruction of a whole image, bit-identical to raster order.
 
@@ -390,8 +398,10 @@ def reconstruct_image(
     gathered, reconstructed and pasted back as one stack.  Known samples
     pass through bit-identically.  Blocks whose window contains no data
     are filled with the mean of the known pixels in raster-earlier blocks
-    and reported in ``fallback_blocks``, in raster order.
+    and reported in ``fallback_blocks``, in raster order.  ``prior`` is the
+    rule for each window's prior exponent alpha (see ``priors``).
     """
+    check_kind("prior", prior, PriorKind, "a PriorKind")
     known_values = check_inputs(image, mask)
     H, W = image.height, image.width
     B, b = params.block_size, params.border
@@ -417,7 +427,9 @@ def reconstruct_image(
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
         ctx = build_block_context(*windows, origins[members], B, b)
-        patches, fell_back[members] = _reconstruct_blocks(ctx, params, fallback_values[members])
+        patches, fell_back[members] = _reconstruct_blocks(
+            ctx, params, fallback_values[members], prior=prior
+        )
         at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
         fill = labels.flat[at] == AreaLabel.B.value
         out.flat[at[fill]] = patches[fill]

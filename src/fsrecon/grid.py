@@ -32,7 +32,6 @@ class ImageGrid:
     """A 2D scalar sample field on a regular grid.
 
     Samples are stored row-major as float64 in [0, 255] for 8-bit sources.
-    One channel: ``imgio.read_image`` collapses a colour image to its BT.601 luma.
     """
 
     samples: NDArray[np.float64]

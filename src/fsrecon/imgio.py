@@ -1,4 +1,4 @@
-"""Reading and writing of images (binary PGM, optional PNG) and masks (PBM)."""
+"""Reading and writing of images (binary PGM) and masks (PBM)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from .grid import ImageGrid, SamplingMask
-
-# ITU-R BT.601 luma weights for collapsing RGB inputs to one channel
-_LUMA = (0.299, 0.587, 0.114)
-
 
 def _read_pnm_header(data: bytes, magic: bytes, n_fields: int) -> tuple[list[int], int]:
     if not data.startswith(magic):
@@ -74,17 +70,8 @@ def write_pbm(path: str | Path, mask: SamplingMask) -> None:
 
 
 def read_image(path: str | Path) -> ImageGrid:
-    """Read a PGM or (if Pillow is installed) PNG image as one grayscale grid."""
+    """Read a binary PGM image; any other format is rejected."""
     path = Path(path)
-    if path.suffix.lower() == ".pgm":
-        return read_pgm(path)
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise ValueError(
-            f"cannot read {path}: only .pgm supported without Pillow"
-        ) from exc
-    arr = np.asarray(Image.open(path), dtype=np.float64)
-    if arr.ndim == 3:
-        arr = _LUMA[0] * arr[..., 0] + _LUMA[1] * arr[..., 1] + _LUMA[2] * arr[..., 2]
-    return ImageGrid(arr)
+    if path.suffix.lower() != ".pgm":
+        raise ValueError(f"cannot read {path}: only PGM images (.pgm) are read")
+    return read_pgm(path)

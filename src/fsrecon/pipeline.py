@@ -18,7 +18,8 @@ from .baselines import import_scipy, linear_triangulation_fill, nearest_neighbor
 from .core import ReconstructionResult, reconstruct_image
 from .grid import ImageGrid, SamplingMask, generate_mask
 from .imgio import read_image
-from .weighting import FsrParams, PriorKind, check_kind
+from .priors import PriorKind
+from .weighting import FsrParams, check_kind
 
 log = logging.getLogger(__name__)
 
@@ -44,8 +45,7 @@ def run_method(
     method: str, image: ImageGrid, mask: SamplingMask, params: FsrParams
 ) -> ReconstructionResult:
     if method in _PRIOR_BY_METHOD:
-        p = dataclasses.replace(params, prior_kind=_PRIOR_BY_METHOD[method])
-        return reconstruct_image(image, mask, p)
+        return reconstruct_image(image, mask, params, _PRIOR_BY_METHOD[method])
     if method == "lin":
         return ReconstructionResult(image=linear_triangulation_fill(image, mask))
     if method == "nn":
@@ -82,14 +82,13 @@ class ExperimentConfig:
             check_kind("each of seeds", seed, numbers.Integral, "an integer")
             if seed < 0:
                 raise ValueError(f"seeds must be non-negative, got {seed}")
+        check_kind("params", self.params, FsrParams, "an FsrParams")
         for t in self.taus or ():
             dataclasses.replace(self.params, tau=t)  # FsrParams checks each tau
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         check_kind("output_dir", self.output_dir, str, "a string")
-        if self.params.prior_kind is not FsrParams.prior_kind:
-            raise ValueError("params.prior_kind must keep its default: each method sets its prior")
 
 
 @dataclass(frozen=True)

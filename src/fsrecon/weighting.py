@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .grid import AreaLabel, BlockContext
-
-
-class PriorKind(Enum):
-    OTF = "otf"
-    ADAPTIVE = "adaptive"
-    NONE = "none"
 
 
 def check_kind(name: str, value, kind: type, what: str) -> None:
@@ -47,14 +40,12 @@ class FsrParams:
     block_size: int = 4
     border: int = 14
     iterations: int = 100
-    prior_kind: PriorKind = PriorKind.ADAPTIVE
 
     def __post_init__(self):
         for name in ("block_size", "border", "iterations"):
             check_kind(name, getattr(self, name), numbers.Integral, "an integer")
         for name in ("rho_hat", "delta", "gamma", "tau"):
             check_kind(name, getattr(self, name), numbers.Real, "a real number")
-        check_kind("prior_kind", self.prior_kind, PriorKind, "a PriorKind")
         for name in ("rho_hat", "delta", "gamma"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
@@ -92,27 +83,11 @@ def decay_map(M: int, N: int, rho_hat: float) -> NDArray[np.float64]:
     return decay
 
 
-def _weights(labels: NDArray[np.uint8], M: int, N: int, params: FsrParams) -> NDArray[np.float64]:
-    """rho^d on A, delta*rho^d on R, else 0, for labels that broadcast to (M, N)."""
-    decay = decay_map(M, N, params.rho_hat)
-    w = np.where(labels == AreaLabel.A.value, decay, 0.0)
-    w += np.where(labels == AreaLabel.R.value, params.delta * decay, 0.0)
-    return w
-
-
-def spatial_weight(m: int, n: int, label: AreaLabel, M: int, N: int, params: FsrParams) -> float:
-    """Weight of a single position: rho^d on A, delta*rho^d on R, else 0.
-
-    Evaluated through the same array expression as ``build_weight_map``, so
-    it equals that function's weight bit for bit.
-    """
-    if not (0 <= m < M and 0 <= n < N):
-        raise ValueError(f"position ({m}, {n}) is outside the {M}x{N} window")
-    return float(_weights(np.array(label), M, N, params)[m, n])
-
-
 def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:
-    w = _weights(ctx.labels, ctx.M, ctx.N, params)
+    """rho^d on A, delta*rho^d on R, else 0, for each window of ``ctx``."""
+    decay = decay_map(ctx.M, ctx.N, params.rho_hat)
+    w = np.where(ctx.labels == AreaLabel.A.value, decay, 0.0)
+    w += np.where(ctx.labels == AreaLabel.R.value, params.delta * decay, 0.0)
     return WeightMap(w=w, weight_sum=np.sum(w, axis=(-2, -1)))
 
 

@@ -25,7 +25,7 @@ from fsrecon.core import (
     update_model,
 )
 from fsrecon.grid import AreaLabel, BlockContext
-from fsrecon.priors import ALPHA_MAX, build_prior_map
+from fsrecon.priors import ALPHA_MAX, build_prior_map, prior_alphas
 from fsrecon.weighting import build_weight_map, effective_density
 
 SEEDS = (1, 2, 3)
@@ -64,6 +64,18 @@ def mean_psnr(method: str, density: float, tau: float = 2.0) -> float:
     return float(np.mean(vals))
 
 
+def prior_at(k, l, M, alpha):
+    """``build_prior_map``'s weight at bin (k, l) of an M x M plane for one alpha."""
+    return build_prior_map(M, M, [alpha], np.array([k * M + l])).item()
+
+
+def weight_at(m, n, label, M, params):
+    """``build_weight_map``'s weight at (m, n) of an M x M window that holds only ``label``."""
+    labels = np.full((M, M), label, dtype=np.uint8)
+    ctx = BlockContext(block_size=M, border=0, labels=labels, values=np.zeros((M, M)))
+    return float(build_weight_map(ctx, params).w[m, n])
+
+
 def test_criterion_1_formula_unit_suite():
     import fsrecon.weighting as weighting
 
@@ -86,9 +98,9 @@ def test_criterion_1_formula_unit_suite():
         kt = min(k, M - k)
         lt = min(l, M - l)
         base = max(0.0, 1.0 - math.sqrt(2.0) * math.sqrt((kt / M) ** 2 + (lt / M) ** 2))
-        ok &= math.isclose(f.otf_prior(k, l, M, M), base**2, rel_tol=1e-12, abs_tol=1e-15)
+        ok &= math.isclose(prior_at(k, l, M, 1.0), base**2, rel_tol=1e-12, abs_tol=1e-15)
         ok &= math.isclose(
-            f.adaptive_prior(k, l, M, M, alpha),
+            prior_at(k, l, M, alpha),
             base ** (2 * alpha) if alpha else 1.0,
             rel_tol=1e-12,
             abs_tol=1e-15,
@@ -97,12 +109,12 @@ def test_criterion_1_formula_unit_suite():
         ok &= math.isclose(f.alpha_of_omega(omega, p), expected_alpha, rel_tol=1e-12)
         d = math.hypot(m - (M - 1) / 2, n - (M - 1) / 2)
         ok &= math.isclose(
-            f.spatial_weight(m, n, AreaLabel.A, M, M, p), rho**d, rel_tol=1e-12
+            weight_at(m, n, AreaLabel.A, M, p), rho**d, rel_tol=1e-12
         )
         ok &= math.isclose(
-            f.spatial_weight(m, n, AreaLabel.R, M, M, p), delta * rho**d, rel_tol=1e-12
+            weight_at(m, n, AreaLabel.R, M, p), delta * rho**d, rel_tol=1e-12
         )
-        ok &= f.spatial_weight(m, n, AreaLabel.B, M, M, p) == 0.0
+        ok &= weight_at(m, n, AreaLabel.B, M, p) == 0.0
 
     # effective density vs brute-force ratio on random label fields
     for _ in range(50):
@@ -114,7 +126,7 @@ def test_criterion_1_formula_unit_suite():
         ctx = BlockContext(block_size=4, border=2, labels=labels, values=values)
         p = f.FsrParams(rho_hat=float(rng.uniform(0.1, 1.0)), delta=float(rng.uniform(0.1, 1.0)))
         num = sum(
-            f.spatial_weight(m, n, AreaLabel(labels[m, n]), M, M, p)
+            weight_at(m, n, AreaLabel(labels[m, n]), M, p)
             for m in range(M)
             for n in range(M)
         )
@@ -127,9 +139,9 @@ def test_criterion_1_formula_unit_suite():
         ok &= math.isclose(got, num / den, rel_tol=1e-12)
 
     # trivial identities
-    ok &= f.otf_prior(0, 0, 32, 32) == 1.0
-    ok &= f.otf_prior(16, 16, 32, 32) == 0.0
-    ok &= all(f.adaptive_prior(k, l, 16, 16, 0.0) == 1.0 for k in range(16) for l in range(16))
+    ok &= prior_at(0, 0, 32, 1.0) == 1.0
+    ok &= prior_at(16, 16, 32, 1.0) == 0.0
+    ok &= all(prior_at(k, l, 16, 0.0) == 1.0 for k in range(16) for l in range(16))
     ok &= f.alpha_of_omega(1.0, f.FsrParams()) == 0.0
 
     elapsed = time.perf_counter() - t0
@@ -175,7 +187,7 @@ def test_criterion_3_invariant_suite():
         omega = effective_density(ctx, wm, p)
         ok &= 0.0 <= omega <= 1.0
         state = init_model_state(ctx.values, wm)
-        prior = build_prior_map(f.PriorKind.ADAPTIVE, 16, 16, np.array([omega]), state.order, p)
+        prior = build_prior_map(16, 16, [f.alpha_of_omega(omega, p)], state.order)
         for _ in range(100):
             proj = projection_coefficients(state)
             j = select_basis(proj, prior)
@@ -193,9 +205,8 @@ def test_criterion_3_invariant_suite():
 
     # prior fold symmetry and axis monotonicity
     for kind in (f.PriorKind.OTF, f.PriorKind.ADAPTIVE):
-        wf = build_prior_map(
-            kind, 32, 32, np.array([0.35]), np.arange(32 * 32), f.FsrParams()
-        ).reshape(32, 32)
+        alphas = prior_alphas(kind, np.array([0.35]), f.FsrParams())
+        wf = build_prior_map(32, 32, alphas, np.arange(32 * 32)).reshape(32, 32)
         flipped = wf[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]
         ok &= bool(np.array_equal(wf, flipped))
         axis = wf[: 17, 0]
@@ -254,7 +265,7 @@ def test_criterion_7_prior_timing_overhead():
         best = math.inf
         for _ in range(2):
             t0 = time.perf_counter()
-            f.reconstruct_image(img, mask, f.FsrParams(prior_kind=kind))
+            f.reconstruct_image(img, mask, f.FsrParams(), kind)
             best = min(best, time.perf_counter() - t0)
         times[method] = best
     ratio = times["ap"] / times["otf"]

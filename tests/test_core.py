@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,9 @@ from fsrecon.core import (
     update_model,
 )
 from fsrecon.grid import AreaLabel, BlockContext, ImageGrid, SamplingMask, generate_mask
-from fsrecon.priors import build_prior_map
+from fsrecon.priors import PriorKind, alpha_of_omega, build_prior_map
 from fsrecon.weighting import (
     FsrParams,
-    PriorKind,
     WeightMap,
     build_weight_map,
     decay_map,
@@ -184,7 +185,7 @@ class TestSelectBasis:
         values[1, 2] = 5.0
         ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
         state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
-        prior = build_prior_map(PriorKind.OTF, 4, 4, np.array([0.5]), state.order, FsrParams())
+        prior = build_prior_map(4, 4, [1.0], state.order)
         proj = projection_coefficients(state)
         assert bin_of(select_basis(proj, prior), 4) == (0, 0)
 
@@ -195,7 +196,7 @@ class TestSelectBasis:
         ctx = full_ctx(values)
         p = FsrParams(rho_hat=1.0, gamma=1.0)
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
-        prior = build_prior_map(PriorKind.NONE, M, M, np.array([1.0]), state.order, p)
+        prior = build_prior_map(M, M, [0.0], state.order)
         proj = projection_coefficients(state)
         j = select_basis(proj, prior)
         assert bin_of(j, M) == (0, 0)  # DC dominates first
@@ -274,7 +275,7 @@ class TestUpdateModel:
         ctx = full_ctx(rng.uniform(0, 255, (8, 8)))
         p = FsrParams(rho_hat=1.0, gamma=1.0)
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
-        prior = build_prior_map(PriorKind.NONE, 8, 8, np.array([1.0]), state.order, p)
+        prior = build_prior_map(8, 8, [0.0], state.order)
         proj = projection_coefficients(state)
         j = select_basis(proj, prior)
         update_model(state, j, p)
@@ -304,7 +305,7 @@ class TestUpdateModel:
         mg, ng = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
         for _ in range(5):
             proj = projection_coefficients(state)
-            prior = build_prior_map(PriorKind.NONE, M, M, np.array([1.0]), state.order, p)
+            prior = build_prior_map(M, M, [0.0], state.order)
             j = select_basis(proj, prior)
             u, v = bin_of(j, M)
             c = p.gamma * proj[0, j[0]]
@@ -323,7 +324,7 @@ class TestUpdateModel:
         ctx = random_ctx(rng, M=8)
         p = FsrParams()
         state = init_model_state(ctx.values, build_weight_map(ctx, p))
-        prior = build_prior_map(PriorKind.ADAPTIVE, 8, 8, np.array([0.5]), state.order, p)
+        prior = build_prior_map(8, 8, [alpha_of_omega(0.5, p)], state.order)
         for _ in range(20):
             proj = projection_coefficients(state)
             j = select_basis(proj, prior)
@@ -382,7 +383,7 @@ class TestReconstructBlock:
         labels = np.where(rng.random((M, M)) < 0.3, AreaLabel.A, AreaLabel.B).astype(np.uint8)
         values = np.where(labels == AreaLabel.A, c, 0.0)
         ctx = BlockContext(block_size=4, border=14, labels=labels, values=values)
-        patch, fb = reconstruct_block(ctx, FsrParams(prior_kind=PriorKind.ADAPTIVE))
+        patch, fb = reconstruct_block(ctx, FsrParams(), prior=PriorKind.ADAPTIVE)
         assert not fb
         np.testing.assert_allclose(patch, c, atol=0.5)
 
@@ -398,12 +399,12 @@ class TestReconstructBlock:
     @pytest.mark.parametrize("kind", [PriorKind.ADAPTIVE, PriorKind.OTF, PriorKind.NONE])
     def test_fast_path_matches_reference(self, kind):
         rng = np.random.default_rng(43)
-        p = FsrParams(block_size=8, border=4, iterations=10, prior_kind=kind)
+        p = FsrParams(block_size=8, border=4, iterations=10)
         for _ in range(5):
             ctx = random_ctx(rng, M=16, density=float(rng.uniform(0.1, 0.9)), block_size=8, border=4)
             t_fast, t_ref = [], []
-            fast, _ = reconstruct_block(ctx, p, selection_trace=t_fast)
-            ref, _ = reconstruct_block_reference(ctx, p, selection_trace=t_ref)
+            fast, _ = reconstruct_block(ctx, p, selection_trace=t_fast, prior=kind)
+            ref, _ = reconstruct_block_reference(ctx, p, selection_trace=t_ref, prior=kind)
             assert t_fast == t_ref
             np.testing.assert_allclose(fast, ref, atol=1e-4)
 
@@ -470,3 +471,16 @@ class TestReconstructImage:
         res = reconstruct_image(img, SamplingMask(flags), FsrParams(block_size=4, border=4, iterations=10))
         assert np.all(np.isfinite(res.image.samples))
         assert res.image.samples[5, 5] == 200.0
+
+
+@pytest.mark.parametrize("prior", ["adaptive", "otf"])
+def test_entries_reject_a_mistyped_prior(prior):
+    # a string would otherwise fall through to alpha = 0, the flat prior
+    message = re.escape(f"prior must be a PriorKind, got {prior!r}")
+    img = ImageGrid(np.full((8, 8), 100.0))
+    mask = SamplingMask(np.ones((8, 8), dtype=bool))
+    with pytest.raises(ValueError, match=message):
+        reconstruct_image(img, mask, FsrParams(iterations=1), prior)
+    ctx = random_ctx(np.random.default_rng(45), M=8)
+    with pytest.raises(ValueError, match=message):
+        reconstruct_block_reference(ctx, FsrParams(iterations=1), prior=prior)

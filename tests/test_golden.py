@@ -21,7 +21,8 @@ import pytest
 
 from fsrecon.core import reconstruct_image
 from fsrecon.grid import ImageGrid, SamplingMask
-from fsrecon.weighting import FsrParams, PriorKind
+from fsrecon.priors import PriorKind
+from fsrecon.weighting import FsrParams
 
 RECORD = Path(__file__).with_name("golden_digests.json")
 
@@ -43,26 +44,25 @@ def _no_data_on_top(h, w, density, seed):
     return image, SamplingMask(flags)
 
 
+AP, OTF, NONE = PriorKind.ADAPTIVE, PriorKind.OTF, PriorKind.NONE
 CASES = {
-    "adaptive-default": (lambda: _random(24, 28, 0.3, 1), FsrParams()),
-    "otf": (lambda: _random(20, 20, 0.5, 2),
-            FsrParams(border=6, iterations=50, prior_kind=PriorKind.OTF)),
+    "adaptive-default": (lambda: _random(24, 28, 0.3, 1), FsrParams(), AP),
+    "otf": (lambda: _random(20, 20, 0.5, 2), FsrParams(border=6, iterations=50), OTF),
     "none-small-blocks": (lambda: _random(18, 22, 0.1, 3),
-                          FsrParams(block_size=2, border=3, iterations=30,
-                                    prior_kind=PriorKind.NONE)),
-    "all-zero": (lambda: _flat(16, 16, 0.0, 0.3, 4), FsrParams()),
-    "constant": (lambda: _flat(16, 20, 137.0, 0.2, 5), FsrParams(iterations=40)),
+                          FsrParams(block_size=2, border=3, iterations=30), NONE),
+    "all-zero": (lambda: _flat(16, 16, 0.0, 0.3, 4), FsrParams(), AP),
+    "constant": (lambda: _flat(16, 20, 137.0, 0.2, 5), FsrParams(iterations=40), AP),
     "fallback": (lambda: _no_data_on_top(24, 20, 0.3, 6),
-                 FsrParams(border=2, iterations=20, prior_kind=PriorKind.OTF)),
+                 FsrParams(border=2, iterations=20), OTF),
     "sparse-wide-front": (lambda: _random(12, 60, 0.05, 7),
-                          FsrParams(block_size=2, border=2, iterations=25)),
+                          FsrParams(block_size=2, border=2, iterations=25), AP),
 }
 
 
 def digest(name: str) -> str:
-    make, params = CASES[name]
+    make, params, prior = CASES[name]
     image, mask = make()
-    result = reconstruct_image(image, mask, params)
+    result = reconstruct_image(image, mask, params, prior)
     h = hashlib.sha256(result.image.samples.tobytes())
     h.update(json.dumps(result.fallback_blocks).encode())
     return h.hexdigest()

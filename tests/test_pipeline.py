@@ -17,7 +17,7 @@ from fsrecon.pipeline import (
     run_experiment,
     run_method,
 )
-from fsrecon.weighting import FsrParams, PriorKind
+from fsrecon.weighting import FsrParams
 
 
 def read_records(path):
@@ -215,7 +215,7 @@ def test_config_defaults_to_seed_0_and_every_method():
         ({"images": "img.pgm"}, "images must be a list, got 'img.pgm'"),
         ({"taus": (1.0,)}, "taus must be a list, got (1.0,)"),
         ({"output_dir": None}, "output_dir must be a string, got None"),
-        ({"params": FsrParams(prior_kind=PriorKind.OTF)}, "prior_kind must keep its default"),
+        ({"params": {}}, "params must be an FsrParams, got {}"),
     ],
 )
 def test_config_rejects_a_mistyped_value(kwargs, message):
@@ -362,6 +362,31 @@ class TestCli:
         assert err.startswith("error: ")
         assert "truncated pixel data" in err
 
+    def test_reconstruct_png_input_exits_with_message(self, tmp_path, capsys):
+        png = tmp_path / "x.png"
+        png.write_bytes(b"\x89PNG\r\n\x1a\n")
+        out = tmp_path / "out.pgm"
+        argv = ["reconstruct", "--input", str(png), "--density", "0.5", "--method", "nn",
+                "--output", str(out)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "only PGM images" in err
+
+    def test_bench_png_image_logged_and_skipped(self, test_image, tmp_path, caplog):
+        png = tmp_path / "x.png"
+        png.write_bytes(b"\x89PNG\r\n\x1a\n")
+        cfg = {"images": [str(png), test_image], "densities": [0.5], "seeds": [1],
+               "methods": ["nn"], "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", str(cfg_path)]) == 0
+        records = read_records(tmp_path / "out" / "report.csv")
+        assert [r["image"] for r in records] == [test_image]
+        assert f"skipping {png}" in caplog.text
+        assert "only PGM images" in caplog.text
+
     def test_bench_json_config(self, test_image, tmp_path):
         cfg = {
             "images": [test_image],
@@ -445,7 +470,7 @@ class TestCli:
         "entry, key",
         [
             pytest.param('"seed": 5', "seed", id="seed=5-seed"),  # a typo for seeds
-            ('"prior_kind": "otf"', "prior_kind"),  # the method sets the prior
+            ('"prior_kind": "otf"', "prior_kind"),  # not a key: the method sets the prior
             ('"densities": 0.3', "densities"),
             ('"densities": null', "densities"),
             ('"seeds": [1.7]', "seeds"),

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from fsrecon.core import _position_table
-from fsrecon.priors import (
-    ALPHA_MAX, adaptive_prior, alpha_of_omega, build_prior_map, otf_prior,
-)
-from fsrecon.weighting import FsrParams, PriorKind
+from fsrecon.priors import ALPHA_MAX, PriorKind, alpha_of_omega, build_prior_map, prior_alphas
+from fsrecon.weighting import FsrParams
 
 
 def ref_prior(k, l, M, N, exponent):
@@ -21,29 +19,34 @@ def ref_prior(k, l, M, N, exponent):
     return base**exponent
 
 
+def prior_at(k, l, M, alpha):
+    """``build_prior_map``'s weight at bin (k, l) of an M x M plane for one alpha."""
+    return build_prior_map(M, M, [alpha], np.array([k * M + l])).item()
+
+
 class TestOtfPrior:
     def test_dc_is_one(self):
-        assert otf_prior(0, 0, 32, 32) == 1.0
+        assert prior_at(0, 0, 32, 1.0) == 1.0
 
     def test_nyquist_corner_is_zero(self):
-        assert otf_prior(16, 16, 32, 32) == pytest.approx(0.0, abs=1e-15)
+        assert prior_at(16, 16, 32, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_frozen_value(self):
         # (1 - sqrt(2)*0.25)^2, frozen from an independent evaluation
-        assert otf_prior(8, 0, 32, 32) == pytest.approx(0.41789321881345254, rel=1e-12)
+        assert prior_at(8, 0, 32, 1.0) == pytest.approx(0.41789321881345254, rel=1e-12)
 
     def test_matches_reference_randomized(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             M = 2 * int(rng.integers(2, 33))
             k, l = int(rng.integers(0, M)), int(rng.integers(0, M))
-            assert otf_prior(k, l, M, M) == pytest.approx(
+            assert prior_at(k, l, M, 1.0) == pytest.approx(
                 ref_prior(k, l, M, M, 2.0), rel=1e-12, abs=1e-15
             )
 
     def test_axis_monotonicity(self):
         M = 32
-        vals = [otf_prior(k, 0, M, M) for k in range(M // 2 + 1)]
+        vals = [prior_at(k, 0, M, 1.0) for k in range(M // 2 + 1)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -76,20 +79,19 @@ class TestAlphaOfOmega:
 class TestAdaptivePrior:
     def test_alpha_one_equals_otf(self):
         M = 32
+        otf = full_map(PriorKind.OTF, M, 0.5, FsrParams())
         for k in range(M):
             for l in range(M):
-                assert adaptive_prior(k, l, M, M, 1.0) == pytest.approx(
-                    otf_prior(k, l, M, M), rel=1e-12, abs=1e-15
-                )
+                assert prior_at(k, l, M, 1.0) == pytest.approx(otf[k, l], rel=1e-12, abs=1e-15)
 
     def test_alpha_zero_is_flat(self):
         M = 16
         for k in range(M):
             for l in range(M):
-                assert adaptive_prior(k, l, M, M, 0.0) == 1.0
+                assert prior_at(k, l, M, 0.0) == 1.0
 
     def test_frozen_value(self):
-        assert adaptive_prior(8, 0, 32, 32, 2.0) == pytest.approx(0.1746347423302681, rel=1e-12)
+        assert prior_at(8, 0, 32, 2.0) == pytest.approx(0.1746347423302681, rel=1e-12)
 
     def test_matches_reference_randomized(self):
         rng = np.random.default_rng(22)
@@ -97,21 +99,22 @@ class TestAdaptivePrior:
             M = 2 * int(rng.integers(2, 33))
             k, l = int(rng.integers(0, M)), int(rng.integers(0, M))
             alpha = float(rng.uniform(0, 8))
-            assert adaptive_prior(k, l, M, M, alpha) == pytest.approx(
+            assert prior_at(k, l, M, alpha) == pytest.approx(
                 ref_prior(k, l, M, M, 2 * alpha), rel=1e-12, abs=1e-15
             )
 
     def test_larger_alpha_suppresses_more(self):
         M = 32
         for k, l in [(1, 0), (5, 3), (10, 10), (15, 2)]:
-            lo = adaptive_prior(k, l, M, M, 0.5)
-            hi = adaptive_prior(k, l, M, M, 2.5)
+            lo = prior_at(k, l, M, 0.5)
+            hi = prior_at(k, l, M, 2.5)
             assert lo > hi
 
 
 def full_map(kind, M, omega, params):
     """The prior of one window with effective density omega at every bin, (M, M)."""
-    weights = build_prior_map(kind, M, M, np.array([omega]), np.arange(M * M), params)
+    alphas = prior_alphas(kind, np.array([omega]), params)
+    weights = build_prior_map(M, M, alphas, np.arange(M * M))
     assert weights.shape == (1, M * M)
     return weights.reshape(M, M)
 
@@ -126,26 +129,43 @@ class TestPriorMap:
             alpha = alpha_of_omega(omega, p)
             for k in range(M):
                 for l in range(M):
-                    assert otf_prior(k, l, M, M) == otf[k, l]
-                    assert adaptive_prior(k, l, M, M, alpha) == ap[k, l]
+                    assert prior_at(k, l, M, 1.0) == otf[k, l]
+                    assert prior_at(k, l, M, alpha) == ap[k, l]
 
     def test_front_rows_equal_scalar_priors_exactly(self):
-        # per-window scalar alphas and exponents; np.log or one vector
-        # exponent for the front changes some of these bits.  At tau = 2,
-        # exp(-2) and exp(-0.5) give the exponents 2 and 0.5, for which a
-        # scalar power takes numpy's square and sqrt paths
+        # each row equals its window's alpha_of_omega evaluated alone;
+        # np.log for the front's alphas changes some of these bits.  At
+        # tau = 2, exp(-2) and exp(-0.5) give the exponents 2 and 0.5, for
+        # which a scalar power takes numpy's square and sqrt paths
         M, p = 32, FsrParams(tau=2.0)
         rng = np.random.default_rng(16)
         special = [0.0, 1.0, 1e-300, 0.5, math.exp(-2.0), math.exp(-0.5)]
         omega = np.concatenate([rng.random(300), 10.0 ** rng.uniform(-40, 0, 100), special])
         bins = _position_table(M, M).bins[0]
-        weights = build_prior_map(PriorKind.ADAPTIVE, M, M, omega, bins, p)
+        weights = build_prior_map(M, M, prior_alphas(PriorKind.ADAPTIVE, omega, p), bins)
         assert weights.shape == (len(omega), len(bins))
-        k, l = np.divmod(bins, M)
         for row, o in zip(weights, omega):
-            alpha = alpha_of_omega(o, p)
-            want = [adaptive_prior(kk, ll, M, M, alpha) for kk, ll in zip(k.tolist(), l.tolist())]
-            assert row.tobytes() == np.array(want).tobytes()
+            want = build_prior_map(M, M, [alpha_of_omega(o, p)], bins)
+            assert row.tobytes() == want.tobytes()
+
+    def test_mixed_kinds_and_taus_equal_each_alpha_alone(self):
+        # one call may hold the windows of runs with different priors and
+        # taus: each row depends on its own alpha only, bit for bit
+        M = 32
+        rng = np.random.default_rng(17)
+        omega = np.concatenate([rng.random(20), [0.0, 1.0, math.exp(-2.0), math.exp(-0.5)]])
+        alphas = [
+            alpha
+            for kind in PriorKind
+            for tau in (0.5, 2.0, 4.0)
+            for alpha in prior_alphas(kind, omega, FsrParams(tau=tau))
+        ]
+        alphas = [alphas[i] for i in rng.permutation(len(alphas))]
+        bins = _position_table(M, M).bins[0]
+        weights = build_prior_map(M, M, alphas, bins)
+        assert weights.shape == (len(alphas), len(bins))
+        for row, alpha in zip(weights, alphas):
+            assert row.tobytes() == build_prior_map(M, M, [alpha], bins).tobytes()
 
     def test_none_is_all_ones(self):
         assert np.all(full_map(PriorKind.NONE, 32, 0.5, FsrParams()) == 1.0)
@@ -178,4 +198,4 @@ class TestPriorMap:
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            build_prior_map(PriorKind.OTF, 31, 31, np.array([0.5]), np.arange(31 * 31), FsrParams())
+            build_prior_map(31, 31, [1.0], np.arange(31 * 31))

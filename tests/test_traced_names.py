@@ -6,6 +6,7 @@ run.  These tests apply the benchmark's own patching to the program; they
 change nothing under ``perfbench/``.
 """
 
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -29,6 +30,13 @@ def test_every_traced_layer_is_present():
     finally:
         t.restore()
     assert t.absent == []
+
+
+def test_run_method_takes_the_arguments_the_benchmark_passes():
+    # the benchmark's capture hook wraps run_method and calls the real one
+    # as real(method, image, mask, params), positionally
+    params = inspect.signature(pipeline.run_method).parameters
+    assert list(params) == ["method", "image", "mask", "params"]
 
 
 def test_reconstruct_image_does_not_call_reconstruct_block(monkeypatch):

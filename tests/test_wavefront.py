@@ -16,8 +16,8 @@ from fsrecon.core import reconstruct_block, reconstruct_image
 from fsrecon.grid import (
     AreaLabel, ImageGrid, SamplingMask, build_block_context, pad_planes,
 )
-from fsrecon.priors import build_prior_map
-from fsrecon.weighting import FsrParams, PriorKind, build_weight_map
+from fsrecon.priors import PriorKind, build_prior_map
+from fsrecon.weighting import FsrParams, build_weight_map
 
 
 def raster_reconstruction(image, mask, params, block_fn):
@@ -54,9 +54,12 @@ def make_case(height, width, density, seed):
     return image, SamplingMask(rng.random((height, width)) < density)
 
 
-def assert_matches_raster(image, mask, params):
-    want, want_fallbacks = raster_reconstruction(image, mask, params, reconstruct_block)
-    got = reconstruct_image(image, mask, params)
+def assert_matches_raster(image, mask, params, prior):
+    def block_fn(ctx, params, fallback_value):
+        return reconstruct_block(ctx, params, fallback_value, prior=prior)
+
+    want, want_fallbacks = raster_reconstruction(image, mask, params, block_fn)
+    got = reconstruct_image(image, mask, params, prior)
     assert got.image.samples.tobytes() == want.tobytes()
     assert got.fallback_blocks == want_fallbacks
     out = got.image.samples
@@ -80,8 +83,8 @@ def assert_matches_raster(image, mask, params):
 @example(height=40, width=40, block_size=2, border=3, density=0.01, kind=PriorKind.NONE, seed=3)
 def test_wavefront_equals_raster_order(height, width, block_size, border, density, kind, seed):
     image, mask = make_case(height, width, density, seed)
-    params = FsrParams(block_size=block_size, border=border, iterations=4, prior_kind=kind)
-    assert_matches_raster(image, mask, params)
+    params = FsrParams(block_size=block_size, border=border, iterations=4)
+    assert_matches_raster(image, mask, params, kind)
 
 
 def test_set_up_runs_once_per_front(monkeypatch):
@@ -92,9 +95,9 @@ def test_set_up_runs_once_per_front(monkeypatch):
         calls.append(ctx.labels.shape)
         return build_weight_map(ctx, params)
 
-    def counting_priors(kind, M, N, omega, bins, params):
-        prior_calls.append(omega.shape)
-        return build_prior_map(kind, M, N, omega, bins, params)
+    def counting_priors(M, N, alphas, bins):
+        prior_calls.append(len(alphas))
+        return build_prior_map(M, N, alphas, bins)
 
     monkeypatch.setattr(core, "build_weight_map", counting)
     monkeypatch.setattr(core, "build_prior_map", counting_priors)
@@ -106,6 +109,6 @@ def test_set_up_runs_once_per_front(monkeypatch):
     front = col + k * row
     assert len(calls) == len(set(front))
     assert all(len(shape) == 3 for shape in calls)
-    # every window holds data, so one prior call per front, on all its omegas
+    # every window holds data, so one prior call per front, on all its alphas
     assert result.fallback_blocks == []
-    assert prior_calls == [(n,) for n in np.unique(front, return_counts=True)[1]]
+    assert prior_calls == np.unique(front, return_counts=True)[1].tolist()

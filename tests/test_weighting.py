@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from fsrecon.grid import AreaLabel, BlockContext
-from fsrecon.weighting import (
-    FsrParams,
-    build_weight_map,
-    effective_density,
-    spatial_weight,
-)
+from fsrecon.weighting import FsrParams, build_weight_map, effective_density
 
 
 def make_ctx(labels, values=None, block_size=None, border=None):
@@ -37,29 +32,31 @@ def ref_weight(m, n, label, M, N, params):
     return w * params.delta if label == AreaLabel.R else w
 
 
-class TestSpatialWeight:
-    @pytest.mark.parametrize("mn", [(-1, 0), (32, 0), (0, 32), (0, -1)])
-    def test_rejects_a_position_outside_the_window(self, mn):
-        with pytest.raises(ValueError, match="outside the 32x32 window"):
-            spatial_weight(*mn, AreaLabel.A, 32, 32, FsrParams())
+def weight_at(m, n, label, M, params):
+    """``build_weight_map``'s weight at (m, n) of an M x M window that holds only ``label``."""
+    labels = np.full((M, M), label, dtype=np.uint8)
+    ctx = BlockContext(block_size=M, border=0, labels=labels, values=np.zeros((M, M)))
+    return float(build_weight_map(ctx, params).w[m, n])
 
+
+class TestSpatialWeight:
     def test_unknown_is_zero(self):
         p = FsrParams()
         for mn in [(0, 0), (5, 20), (16, 16)]:
-            assert spatial_weight(*mn, AreaLabel.B, 32, 32, p) == 0.0
-            assert spatial_weight(*mn, AreaLabel.OUTSIDE, 32, 32, p) == 0.0
+            assert weight_at(*mn, AreaLabel.B, 32, p) == 0.0
+            assert weight_at(*mn, AreaLabel.OUTSIDE, 32, p) == 0.0
 
     def test_center_value(self):
         p = FsrParams(rho_hat=0.7)
         # 0.7 ** sqrt(0.5), frozen from an independent evaluation
-        assert spatial_weight(16, 16, AreaLabel.A, 32, 32, p) == pytest.approx(
+        assert weight_at(16, 16, AreaLabel.A, 32, p) == pytest.approx(
             0.7770836540510088, rel=1e-12
         )
 
     def test_reconstructed_is_delta_scaled(self):
         p = FsrParams(rho_hat=0.7, delta=0.5)
-        wa = spatial_weight(16, 16, AreaLabel.A, 32, 32, p)
-        wr = spatial_weight(16, 16, AreaLabel.R, 32, 32, p)
+        wa = weight_at(16, 16, AreaLabel.A, 32, p)
+        wr = weight_at(16, 16, AreaLabel.R, 32, p)
         assert wr == pytest.approx(0.5 * wa, rel=1e-12)
         assert wr == pytest.approx(0.3885418270255044, rel=1e-12)
 
@@ -70,16 +67,16 @@ class TestSpatialWeight:
             m, n = int(rng.integers(0, M)), int(rng.integers(0, M))
             label = AreaLabel(int(rng.integers(0, 4)))
             p = FsrParams(rho_hat=float(rng.uniform(0.05, 1.0)), delta=float(rng.uniform(0.05, 1.0)))
-            got = spatial_weight(m, n, label, M, M, p)
+            got = weight_at(m, n, label, M, p)
             assert got == pytest.approx(ref_weight(m, n, label, M, M, p), rel=1e-12, abs=1e-300)
 
     def test_radial_symmetry(self):
         p = FsrParams()
         M = 32
         for m, n in [(3, 7), (0, 0), (10, 25)]:
-            w = spatial_weight(m, n, AreaLabel.A, M, M, p)
-            assert spatial_weight(n, m, AreaLabel.A, M, M, p) == pytest.approx(w, rel=1e-12)
-            assert spatial_weight(M - 1 - m, M - 1 - n, AreaLabel.A, M, M, p) == pytest.approx(
+            w = weight_at(m, n, AreaLabel.A, M, p)
+            assert weight_at(n, m, AreaLabel.A, M, p) == pytest.approx(w, rel=1e-12)
+            assert weight_at(M - 1 - m, M - 1 - n, AreaLabel.A, M, p) == pytest.approx(
                 w, rel=1e-12
             )
 
@@ -105,7 +102,7 @@ class TestWeightMap:
             p = FsrParams(rho_hat=0.8, delta=0.4)
             wm = build_weight_map(ctx, p)
             brute = sum(
-                spatial_weight(m, n, AreaLabel(labels[m, n]), 10, 10, p)
+                weight_at(m, n, AreaLabel(labels[m, n]), 10, p)
                 for m in range(10)
                 for n in range(10)
             )
@@ -119,7 +116,7 @@ class TestWeightMap:
             p = FsrParams(rho_hat=float(rng.uniform(0.05, 1.0)), delta=float(rng.uniform(0.05, 1.0)))
             wm = build_weight_map(make_ctx(labels), p)
             scalar = [
-                [spatial_weight(m, n, AreaLabel(labels[m, n]), M, M, p) for n in range(M)]
+                [weight_at(m, n, AreaLabel(labels[m, n]), M, p) for n in range(M)]
                 for m in range(M)
             ]
             np.testing.assert_array_equal(np.array(scalar), wm.w)
@@ -212,8 +209,6 @@ class TestFsrParams:
             ({"gamma": None}, "gamma must be a real number, got None"),
             ({"rho_hat": "0.7"}, "rho_hat must be a real number, got '0.7'"),
             ({"delta": np.True_}, "delta must be a real number, got "),
-            ({"prior_kind": "adaptive"}, "prior_kind must be a PriorKind, got 'adaptive'"),
-            ({"prior_kind": "otf"}, "prior_kind must be a PriorKind, got 'otf'"),
         ],
     )
     def test_rejects_mistyped_values(self, kwargs, message):
