@@ -312,6 +312,7 @@ def reconstruct_block(
     (window without any known or reconstructed sample), in which case the
     unknown center pixels are filled with ``fallback_value``.
     """
+    check_kind("prior", prior, PriorKind, "a PriorKind")
     stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
     patches, fallback = _reconstruct_blocks(

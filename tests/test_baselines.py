@@ -106,13 +106,95 @@ def ring_mask(h, w, center, offsets):
 )
 def test_more_ties_than_k_nearest_match_brute_force(height, width, center):
     """Every pixel outside a disk is known, so the center has the 12 samples of
-    RING_25 at its nearest distance: more than one k-nearest query returns, and
-    its winner comes from the ball query."""
+    RING_25 at its nearest distance, more than K_NEAREST.  The mask is dense,
+    so the lattice scan resolves every pixel; the kd-tree tail and its ball
+    query are tested by test_scan_and_kd_tail_match_brute_force."""
     assert len(RING_25) > baselines.K_NEAREST
     rows, cols = np.mgrid[0:height, 0:width]
     flags = (rows - center[0]) ** 2 + (cols - center[1]) ** 2 >= 25
     image = ImageGrid(np.random.default_rng(13).uniform(0, 255, (height, width)))
     assert_both_match_brute_force(image, SamplingMask(flags))
+
+
+def squared_distance(height, width, center):
+    rows, cols = np.mgrid[0:height, 0:width]
+    return (rows - center[0]) ** 2 + (cols - center[1]) ** 2
+
+
+def ring(height, width, center, d2s):
+    """Samples at the given squared distances from ``center``, nothing else."""
+    return np.isin(squared_distance(height, width, center), d2s)
+
+
+def cells(height, width, *rcs):
+    flags = np.zeros((height, width), dtype=bool)
+    flags[tuple(np.transpose(rcs))] = True
+    return flags
+
+
+def edges(height, width):
+    flags = np.zeros((height, width), dtype=bool)
+    flags[::2, 0] = flags[1::2, -1] = True  # rows ``width`` apart in flat order
+    flags[0, ::3] = flags[-1, 1::3] = True
+    return flags
+
+
+def random_flags(height, width, density, seed):
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+def scans(flags):
+    """Whether ``_nearest_known`` scans lattice offsets before the kd-tree."""
+    return flags.sum() * len(baselines._OFFSETS) >= baselines.SCAN_MIN_HITS * flags.size
+
+
+# name: (flags, whether the kd-tree tail gets the center pixel, whether the scan runs)
+SCAN_AND_TAIL = {
+    # 16 ties at d^2 = 85, beyond the scan radius: the center ends in the
+    # ball query, after the scan (21x21) or without it (61x61)
+    "ring-85-scanned": (ring(21, 21, (10, 10), [85]), True, True),
+    "ring-85-unscanned": (ring(61, 61, (30, 30), [85]), True, False),
+    # dense: the scan resolves the pixels outside, the kd-tree those inside
+    # the disk; the center's 6 nearest as the tree returns them miss its
+    # winner, which only the ball query finds
+    "disk-65": (squared_distance(25, 27, (12, 13)) >= 65, True, True),
+    "disk-85": (squared_distance(21, 21, (10, 10)) >= 85, True, True),
+    # 4 ties at d^2 = 64, the scan's last distance; 16 at d^2 = 65, just past it
+    "ring-64": (ring(17, 19, (8, 9), [64]), False, True),
+    "ring-65": (ring(19, 19, (9, 9), [65]), True, True),
+    "rings-64-65": (ring(19, 21, (9, 10), [64, 65]), False, True),
+    # samples on the four edges: queries at corners and borders, and offsets
+    # that would wrap from one row into the next without the padding
+    "edges": (edges(30, 20), None, True),
+    "corners": (cells(12, 17, (0, 0), (11, 16)), None, True),
+    "one-row": (random_flags(1, 60, 0.1, 1), None, True),
+    "one-column": (random_flags(60, 1, 0.1, 2), None, True),
+    # the density switch: 1.5 / 196 is about 0.0077
+    "below-switch": (random_flags(64, 64, 0.006, 3), None, False),
+    "above-switch": (random_flags(64, 64, 0.012, 4), None, True),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_AND_TAIL)
+def test_scan_and_kd_tail_match_brute_force(name, monkeypatch):
+    flags, center_in_tail, scanned = SCAN_AND_TAIL[name]
+    assert scans(flags) == scanned
+    tail = []
+    kd_nearest = baselines._kd_nearest
+
+    def recorded_kd_nearest(known_rc, query_rc):
+        tail.append(query_rc.copy())
+        return kd_nearest(known_rc, query_rc)
+
+    monkeypatch.setattr(baselines, "_kd_nearest", recorded_kd_nearest)
+    image = ImageGrid(np.random.default_rng(19).uniform(0, 255, flags.shape))
+    assert_both_match_brute_force(image, SamplingMask(flags))
+    queried = {tuple(rc) for query_rc in tail for rc in query_rc.tolist()}
+    if not scanned:
+        assert len(queried) == (~flags).sum()
+    if center_in_tail is not None:
+        center = (flags.shape[0] // 2, flags.shape[1] // 2)
+        assert (center in queried) == center_in_tail
 
 
 @pytest.mark.parametrize(

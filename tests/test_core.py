@@ -484,3 +484,11 @@ def test_entries_reject_a_mistyped_prior(prior):
     ctx = random_ctx(np.random.default_rng(45), M=8)
     with pytest.raises(ValueError, match=message):
         reconstruct_block_reference(ctx, FsrParams(iterations=1), prior=prior)
+
+
+@pytest.mark.parametrize("prior", ["adaptive", "otf"])
+def test_reconstruct_block_rejects_a_mistyped_prior(prior):
+    # prior_alphas reads any string as alpha = 0, the flat prior
+    ctx = random_ctx(np.random.default_rng(46), M=8)
+    with pytest.raises(ValueError, match=re.escape(f"prior must be a PriorKind, got {prior!r}")):
+        reconstruct_block(ctx, FsrParams(iterations=1, block_size=4, border=2), prior=prior)

@@ -3,10 +3,11 @@
 ``golden_baseline_digests.json`` holds the sha256 of each case's output
 bytes for both methods, recorded together with the numpy and scipy
 versions and the machine architecture that produced them.  The cases
-cover the benchmark's 256x256 shape, a lattice of ties, pixels outside
-the convex hull and both nearest-neighbour fallbacks of ``lin``.  The
-floating-point results may legitimately differ on another numpy, scipy
-(Qhull) or architecture, so the test skips there; re-record with
+cover the benchmark's 256x256 shape, a sparse 256x256 mask, lattices of
+ties at strides 2 and 17, one sample, pixels outside the convex hull and
+both nearest-neighbour fallbacks of ``lin``.  The floating-point results
+may legitimately differ on another numpy, scipy (Qhull) or architecture,
+so the test skips there; re-record with
 
     PYTHONPATH=src python tests/test_golden_baselines.py
 
@@ -45,6 +46,12 @@ def _stride_2_grid():
     return _image(41, 37, 3), SamplingMask(flags)
 
 
+def _stride_17_grid():
+    flags = np.zeros((256, 256), dtype=bool)
+    flags[3::17, 11::17] = True
+    return _image(256, 256, 9), SamplingMask(flags)
+
+
 def _outside_hull():
     rng = np.random.default_rng(4)
     flags = np.zeros((48, 48), dtype=bool)
@@ -56,10 +63,13 @@ def _outside_hull():
 CASES = {
     "random-256-0.3": lambda: (_image(256, 256, 1), generate_mask(256, 256, 0.3, 1)),
     "random-256-0.8": lambda: (_image(256, 256, 2), generate_mask(256, 256, 0.8, 2)),
+    "random-256-0.01": lambda: (_image(256, 256, 7), generate_mask(256, 256, 0.01, 7)),
     "stride-2-grid": _stride_2_grid,
+    "stride-17-grid": _stride_17_grid,
     "outside-hull": _outside_hull,
     "collinear": lambda: (_image(30, 40, 5), _flags(30, 40, [(3, 3), (9, 11), (15, 19), (27, 35)])),
     "two-samples": lambda: (_image(33, 29, 6), _flags(33, 29, [(4, 20), (28, 3)])),
+    "one-sample": lambda: (_image(64, 48, 8), _flags(64, 48, [(5, 40)])),
 }
 
 
