@@ -149,18 +149,12 @@ def linear_triangulation_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid
     if not unknown.any():
         return ImageGrid(image.samples.copy())
     known_rc = np.argwhere(mask.flags)
-    # each fallback raises in nearest_neighbor_fill, before the warning,
-    # on an empty mask
-    if known_rc.shape[0] < 3:
-        nn = nearest_neighbor_fill(image, mask)
-        log.warning("fewer than 3 known samples; using nearest-neighbor fill")
-        return nn
     spatial = import_scipy()
     try:
         tri = spatial.Delaunay(known_rc.astype(np.float64))
-    except spatial.QhullError:
-        nn = nearest_neighbor_fill(image, mask)
-        log.warning("degenerate (collinear) samples; using nearest-neighbor fill")
+    except (spatial.QhullError, ValueError):  # under 3 samples, collinear or none
+        nn = nearest_neighbor_fill(image, mask)  # raises, before the warning, on none
+        log.warning("fewer than 3 or collinear known samples; using nearest-neighbor fill")
         return nn
     unknown_rc = np.argwhere(unknown)
     pts = unknown_rc.astype(np.float64)

@@ -15,26 +15,13 @@ from .pipeline import METHODS, ExperimentConfig, run_experiment, run_method
 from .weighting import FsrParams
 
 
-# reconstruct flag -> FsrParams field; the flag's type is the field's
-_PARAM_FLAGS = {
-    "tau": "tau",
-    "rho": "rho_hat",
-    "delta": "delta",
-    "gamma": "gamma",
-    "block": "block_size",
-    "border": "border",
-    "iters": "iterations",
-}
-
-
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     image = imgio.read_image(args.input)
     if args.mask is not None:
         mask = imgio.read_pbm(args.mask)
     else:
         mask = generate_mask(image.width, image.height, args.density, args.seed or 0)
-    given = {name: getattr(args, flag) for flag, name in _PARAM_FLAGS.items()}
-    params = FsrParams(**{k: v for k, v in given.items() if v is not None})
+    params = FsrParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FsrParams)})
     result = run_method(args.method, image, mask, params)
     imgio.write_pgm(args.output, result.image)
     if result.fallback_blocks:
@@ -42,8 +29,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
-    """Read a JSON experiment config, values unconverted; ``output_dir`` overrides its own."""
+def _load_config(path: str, output_dir: str) -> ExperimentConfig:
+    """Read a JSON experiment config, values unconverted, for a sweep into ``output_dir``.
+
+    Tau comes only from ``taus`` and the directory only from the argument
+    (``--out``), so a ``tau`` or ``output_dir`` key is unknown.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -51,7 +42,8 @@ def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} is not a JSON object")
     param_keys = {f.name for f in dataclasses.fields(FsrParams)}
-    allowed = param_keys | {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
+    config_keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    allowed = (param_keys | config_keys) - {"tau", "params", "output_dir"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ValueError(f"config {path} has unknown key(s): {', '.join(unknown)}")
@@ -59,9 +51,7 @@ def _load_config(path: str, output_dir: str | None) -> ExperimentConfig:
     if missing:
         raise ValueError(f"config {path} lacks required key(s): {', '.join(missing)}")
     params = FsrParams(**{k: raw.pop(k) for k in param_keys & set(raw)})
-    if output_dir:
-        raw["output_dir"] = output_dir
-    return ExperimentConfig(**raw, params=params)
+    return ExperimentConfig(**raw, params=params, output_dir=output_dir)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -84,13 +74,13 @@ def main(argv: list[str] | None = None) -> int:
     rec.add_argument("--seed", type=int, help="mask seed for --density (default 0)")
     rec.add_argument("--method", required=True, choices=METHODS)
     rec.add_argument("--output", required=True)
-    for flag, name in _PARAM_FLAGS.items():
-        rec.add_argument(f"--{flag}", type=type(getattr(FsrParams(), name)))
+    for f in dataclasses.fields(FsrParams):
+        rec.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     rec.set_defaults(func=_cmd_reconstruct)
 
     bench = subs.add_parser("bench", help="run a benchmark sweep from a config file")
     bench.add_argument("--config", required=True)
-    bench.add_argument("--out", help="output directory (overrides config)")
+    bench.add_argument("--out", default=".", help="output directory for report.csv")
     bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)

@@ -31,13 +31,16 @@ def _read_payload(path: str | Path, data: bytes, pos: int, nbytes: int) -> np.nd
     return np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos)
 
 
-def read_pgm(path: str | Path) -> ImageGrid:
+def read_image(path: str | Path) -> ImageGrid:
     """Read a binary 8-bit PGM, scaled from [0, maxval] to [0, 255].
 
     At maxval 255 the samples are the bytes themselves.  A sample above
-    maxval is rejected.
+    maxval is rejected, and so is any file whose suffix is not ``.pgm``.
     """
-    data = Path(path).read_bytes()
+    path = Path(path)
+    if path.suffix.lower() != ".pgm":
+        raise ValueError(f"cannot read {path}: only PGM images (.pgm) are read")
+    data = path.read_bytes()
     (width, height, maxval), pos = _read_pnm_header(data, b"P5", 3)
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported maxval {maxval}: only 8-bit PGM (maxval 1..255) is read")
@@ -67,11 +70,3 @@ def write_pbm(path: str | Path, mask: SamplingMask) -> None:
     bits = np.packbits(mask.flags.astype(np.uint8), axis=1)
     header = f"P4\n{mask.width} {mask.height}\n".encode()
     Path(path).write_bytes(header + bits.tobytes())
-
-
-def read_image(path: str | Path) -> ImageGrid:
-    """Read a binary PGM image; any other format is rejected."""
-    path = Path(path)
-    if path.suffix.lower() != ".pgm":
-        raise ValueError(f"cannot read {path}: only PGM images (.pgm) are read")
-    return read_pgm(path)

@@ -55,7 +55,10 @@ def run_method(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep over every (tau, image, density, seed, method); each value is checked here."""
+    """A sweep over every (tau, image, density, seed, method); each value is checked here.
+
+    A given ``taus`` replaces ``params.tau``; ``None`` sweeps ``[params.tau]``.
+    """
 
     images: list[str]
     densities: list[float]
@@ -63,7 +66,7 @@ class ExperimentConfig:
     methods: list[str] = field(default_factory=lambda: list(METHODS))
     params: FsrParams = FsrParams()
     output_dir: str = "."
-    taus: list[float] | None = None  # None: [params.tau]
+    taus: list[float] | None = None
 
     def __post_init__(self):
         for axis in ("images", "methods", "densities", "seeds", "taus"):

@@ -332,6 +332,28 @@ class TestLinearTriangulation:
         out = linear_triangulation_fill(img, SamplingMask(flags))
         assert np.all(out.samples == 25.0)
 
+    @pytest.mark.parametrize(
+        "known",
+        [[(2, 2)], [(2, 2), (6, 5)], [(3, 1), (3, 4), (3, 6)]],
+        ids=["one", "two", "collinear"],
+    )
+    def test_degenerate_samples_take_one_fallback(self, caplog, known):
+        img = ImageGrid(np.random.default_rng(9).uniform(0, 255, (8, 8)))
+        flags = np.zeros((8, 8), dtype=bool)
+        flags[tuple(np.transpose(known))] = True
+        out = linear_triangulation_fill(img, SamplingMask(flags))
+        expected = nearest_neighbor_fill(img, SamplingMask(flags))
+        assert out.samples.tobytes() == expected.samples.tobytes()
+        assert [r.getMessage() for r in caplog.records] == [
+            "fewer than 3 or collinear known samples; using nearest-neighbor fill"
+        ]
+
+    def test_empty_mask_raises_without_warning(self, caplog):
+        empty = SamplingMask(np.zeros((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="mask holds no known samples"):
+            linear_triangulation_fill(ImageGrid(np.zeros((4, 4))), empty)
+        assert caplog.records == []
+
     def test_nearest_neighbour_only_outside_the_hull(self, monkeypatch):
         rng = np.random.default_rng(11)
         img = ImageGrid(rng.uniform(0, 255, (16, 16)))

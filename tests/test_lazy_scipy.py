@@ -30,7 +30,7 @@ write_pgm("in.pgm", ImageGrid(np.round(rng.uniform(0, 255, (8, 12)))))
 
 def reconstruct(method):
     return fsrecon.cli.main(["reconstruct", "--input", "in.pgm", "--density", "0.4",
-                             "--method", method, "--iters", "5", "--output", method + ".pgm"])
+                             "--method", method, "--iterations", "5", "--output", method + ".pgm"])
 
 def bench(methods):
     with open("cfg.json", "w") as fh:

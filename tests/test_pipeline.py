@@ -3,13 +3,15 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsrecon.cli
 from fsrecon.cli import main as cli_main
 from fsrecon.grid import ImageGrid, SamplingMask
-from fsrecon.imgio import read_pgm, write_pgm
+from fsrecon.imgio import read_image, write_pgm
 from fsrecon.pipeline import (
     METHODS,
     ExperimentConfig,
@@ -134,7 +136,7 @@ class TestSweepTau:
         # an unreadable one between them give, for fsr-ap, the per-tau
         # direct runs in tau order; the other listed methods run at every tau
         flipped = tmp_path / "flipped.pgm"
-        write_pgm(flipped, ImageGrid(read_pgm(test_image).samples[::-1]))
+        write_pgm(flipped, ImageGrid(read_image(test_image).samples[::-1]))
         cfg = dataclasses.replace(
             cfg,
             images=[test_image, "/nonexistent/nope.pgm", str(flipped)],
@@ -243,7 +245,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        img = read_pgm(out)
+        img = read_image(out)
         assert (img.height, img.width) == (32, 32)
 
     @pytest.mark.parametrize(
@@ -308,6 +310,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    # one valid non-default value and one rejected value per FsrParams field
+    PARAM_VALUES = {
+        "rho_hat": ("0.5", "1.5"),
+        "delta": ("0.25", "0"),
+        "gamma": ("0.75", "2"),
+        "tau": ("3", "-1"),
+        "block_size": ("2", "0"),
+        "border": ("3", "-1"),
+        "iterations": ("7", "0"),
+    }
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(FsrParams)])
+    def test_reconstruct_flag_per_param_field(self, test_image, tmp_path, capsys, monkeypatch, name):
+        seen = []
+
+        def run_nn(method, image, mask, params):
+            seen.append(params)
+            return run_method("nn", image, mask, params)
+
+        monkeypatch.setattr(fsrecon.cli, "run_method", run_nn)
+        flag = "--" + name.replace("_", "-")
+        good, bad = self.PARAM_VALUES[name]
+        kind = type(getattr(FsrParams(), name))
+        out = tmp_path / "out.pgm"
+        argv = ["reconstruct", "--input", test_image, "--density", "0.5", "--method", "fsr-ap",
+                "--output", str(out)]
+        assert cli_main([*argv, flag, good]) == 0
+        assert seen == [FsrParams(**{name: kind(good)})]
+        assert type(getattr(seen[0], name)) is kind
+        out.unlink()
+
+        assert cli_main([*argv, flag, bad]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+
+        if kind is int:  # a float is a usage error naming the flag
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*argv, flag, "2.5"])
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid int value" in capsys.readouterr().err
+        assert len(seen) == 1
+
+    def test_reconstruct_rejects_the_old_iters_flag(self, test_image, tmp_path):
+        out = tmp_path / "out.pgm"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["reconstruct", "--input", test_image, "--density", "0.5", "--method", "nn",
+                      "--output", str(out), "--iters", "5"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_reconstruct_16bit_pgm_exits_with_message(self, tmp_path, capsys):
         path = tmp_path / "deep.pgm"
@@ -378,10 +432,10 @@ class TestCli:
         png = tmp_path / "x.png"
         png.write_bytes(b"\x89PNG\r\n\x1a\n")
         cfg = {"images": [str(png), test_image], "densities": [0.5], "seeds": [1],
-               "methods": ["nn"], "output_dir": str(tmp_path / "out")}
+               "methods": ["nn"]}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["bench", "--config", str(cfg_path)]) == 0
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         records = read_records(tmp_path / "out" / "report.csv")
         assert [r["image"] for r in records] == [test_image]
         assert f"skipping {png}" in caplog.text
@@ -394,11 +448,10 @@ class TestCli:
             "seeds": [1],
             "methods": ["nn", "lin"],
             "iterations": 5,
-            "output_dir": str(tmp_path / "out"),
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["bench", "--config", str(cfg_path)]) == 0
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         assert len(read_records(tmp_path / "out" / "report.csv")) == 2
 
     def test_bench_taus_axis_runs_every_method(self, test_image, tmp_path):
@@ -411,16 +464,28 @@ class TestCli:
             "border": 4,
             "iterations": 5,
             "taus": [1.0, 2.0],
-            "output_dir": str(tmp_path / "sweep"),
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["bench", "--config", str(cfg_path)]) == 0
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "sweep")]) == 0
         records = read_records(tmp_path / "sweep" / "report.csv")
         assert [(r["method"], r["tau"]) for r in records] == [
             ("fsr-ap", "1.0"), ("nn", ""), ("fsr-ap", "2.0"), ("nn", "")
         ]
         assert not (tmp_path / "sweep" / "tau_sweep.csv").exists()
+
+    def test_bench_without_out_writes_into_the_working_directory(
+        self, test_image, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"images": [test_image], "densities": [0.5], "seeds": [1],
+               "methods": ["fsr-ap", "nn"], "iterations": 2}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", "cfg.json"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv"]
+        records = read_records(tmp_path / "report.csv")
+        assert [r["tau"] for r in records] == ["2.0", ""]  # taus defaults to [2.0]
+        assert capsys.readouterr().out == "2 runs written to .\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -446,8 +511,8 @@ class TestCli:
         cfg = {"images": [test_image], "densities": [0.5], "seeds": [1], "methods": ["nn"]}
         cfg[axis] = []
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "out")}))
-        assert cli_main(["bench", "--config", str(cfg_path)]) == 1
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{axis} must not be empty" in err
@@ -480,18 +545,21 @@ class TestCli:
             ('"tau": "2"', "tau"),
             ('"densities": ["0.3"]', "densities"),
             ('"params": {}', "params"),
+            # tau is set only by taus, and the directory only by --out
+            pytest.param('"tau": 3.0', "unknown key(s): tau", id="tau"),
+            pytest.param('"tau": 3.0, "taus": [1.0]', "unknown key(s): tau", id="tau-and-taus"),
+            pytest.param('"output_dir": "elsewhere"', "unknown key(s): output_dir", id="output_dir"),
         ],
     )
     def test_bench_malformed_config_exits_with_message(
-        self, test_image, tmp_path, capsys, entry, key
+        self, test_image, tmp_path, capsys, monkeypatch, entry, key
     ):
-        out = tmp_path / "out"
+        monkeypatch.chdir(tmp_path)
         cfg = {"images": [test_image], "densities": [0.5], "methods": ["fsr-ap"]}
         cfg.update(json.loads("{" + entry + "}"))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
-        assert cli_main(["bench", "--config", str(cfg_path)]) == 1
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", "cfg.json", "--out", "out"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert key in err
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
