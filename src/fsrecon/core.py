@@ -45,6 +45,12 @@ class ModelState:
     ``_position_table(M, N).offsets``.  ``updates`` records, per iteration,
     the selected positions and the coefficients of the bins and their
     partners; ``synthesize_model`` accumulates them into ``coef``.
+
+    ``__post_init__`` caches what every iteration reads: views of the
+    residual as (F, (M/2+1)*N) rows and as one flat run with each row's
+    start, the position table and its ``order``, and ``inv_weight_sum``,
+    each window's 1/weight_sum repeated over the (F, 2P) float view of the
+    projections, so that their scaling multiplies operands of one shape.
     """
 
     weighted_residual_spectrum: NDArray[np.complex128]
@@ -57,11 +63,10 @@ class ModelState:
         default_factory=list
     )
     coef: NDArray[np.complex128] | None = None
-    # per-stack caches of the per-iteration layers: views of the residual
-    # as (F, (M/2+1)*N) rows and as one flat run with each row's start
     residual_rows: NDArray[np.complex128] = field(init=False, repr=False)
     residual_flat: NDArray[np.complex128] = field(init=False, repr=False)
     row_starts: NDArray[np.intp] = field(init=False, repr=False)
+    table: _PositionTable = field(init=False, repr=False)
     order: NDArray[np.intp] = field(init=False, repr=False)
     inv_weight_sum: NDArray[np.float64] = field(init=False, repr=False)
 
@@ -70,8 +75,9 @@ class ModelState:
         self.residual_rows = self.weighted_residual_spectrum.reshape(F, -1)
         self.residual_flat = self.residual_rows.reshape(-1)
         self.row_starts = np.arange(F) * self.residual_rows.shape[1]
-        self.order = _position_table(self.M, self.N).bins[0]
-        self.inv_weight_sum = (1.0 / self.weight_sum)[:, None]
+        self.table = _position_table(self.M, self.N)
+        self.order = self.table.bins[0]
+        self.inv_weight_sum = np.repeat(1.0 / self.weight_sum, 2 * len(self.order)).reshape(F, -1)
 
 
 @dataclass(frozen=True)
@@ -122,17 +128,29 @@ def _position_table(M: int, N: int) -> _PositionTable:
     return table
 
 
+def _no_data(weight_sum: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Windows whose weight sum, the projection denominator of every
+    frequency, has no finite positive reciprocal.
+
+    The sum is zero when a window holds no data, and subnormal when its
+    data lie only where ``rho_hat ** d`` underflows; 1/weight_sum then
+    overflows and the projections turn NaN.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / weight_sum
+    return ~((inv > 0.0) & (inv < np.inf))
+
+
 def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> ModelState:
     """Initial state of a stack of windows, (F, M, N); an (M, N) window is a stack of one.
 
-    Rejects a window that holds no data: its weight sum, the projection
-    denominator of every frequency, is zero.
+    Rejects a window that holds no usable data (see ``_no_data``).
     """
     M, N = values.shape[-2:]
     values, w = values.reshape(-1, M, N), weight_map.w.reshape(-1, M, N)
     weight_sum = np.reshape(weight_map.weight_sum, -1)
-    if weight_sum.min() <= 0.0:
-        raise ValueError("weight sum is zero; the window holds no data")
+    if _no_data(weight_sum).any():
+        raise ValueError("weight sum has no finite reciprocal; the window holds no usable data")
     tiles = np.empty((len(w), 3 * M // 2, 2, N), dtype=np.complex128)  # (F, 3M/2, 2N)
     tiles[:, :M] = np.fft.fft2(w)[:, :, None]
     tiles[:, M:] = tiles[:, : M // 2]
@@ -166,7 +184,7 @@ def projection_coefficients(state: ModelState) -> NDArray[np.complex128]:
     is the same.  ``update_model`` takes its coefficients from the true
     divide, whose zeros the model keeps.
     """
-    q = np.take(state.residual_rows, state.order, axis=1)
+    q = state.residual_rows.take(state.order, axis=1)
     parts = q.view(np.float64)
     np.multiply(parts, state.inv_weight_sum, out=parts)
     return q
@@ -189,8 +207,8 @@ def select_basis(
 def _selection_objective(
     q: NDArray[np.complex128], prior_weights: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    sq = np.square(q.view(np.float64))  # real**2, imag**2 interleaved
-    obj = sq[:, 0::2] + sq[:, 1::2]
+    obj = np.square(q.real)
+    obj += np.square(q.imag)
     obj *= prior_weights
     return obj
 
@@ -210,22 +228,23 @@ def update_model(state: ModelState, j: NDArray[np.intp], params: FsrParams) -> M
     leaves the coefficients and every later selection unchanged.
     """
     F = len(j)
-    table = _position_table(state.M, state.N)
-    p_uv = state.residual_flat[state.row_starts + state.order[j]] / state.weight_sum
+    p_uv = state.residual_flat.take(state.row_starts + state.order.take(j)) / state.weight_sum
     cc = np.empty(2 * F, dtype=np.complex128)  # the bins, then their partners
-    c = cc[:F]
+    c, partner = cc[:F], cc[F:]
     np.multiply(params.gamma, p_uv, out=c)
-    self_conj = table.self_conjugate[j]
-    if self_conj.any():  # rare: only 4 of the M*N/2+2 positions
-        c[:] = np.where(self_conj, c.real, c)
-        cc[F:] = np.where(self_conj, 0.0, np.conj(c))
-    else:
-        np.conj(c, out=cc[F:])
+    np.conj(c, out=partner)
+    # only 4 of the M*N/2+2 positions, but often selected: DC above all
+    self_conj = state.table.self_conjugate.take(j)
+    if np.count_nonzero(self_conj):  # a C call; ndarray.any() goes through Python
+        c.imag[self_conj] = 0.0
+        partner[self_conj] = 0.0
     state.updates.append((j, cc))
-    offsets = table.offsets[:, j]
+    offsets = state.table.offsets.take(j, axis=1)
     offsets += state.tile_offsets
     shifted = state.weight_slabs[offsets]  # (2, F, M/2+1, N)
     flat = shifted.reshape(2 * F, -1)
+    # coefficients first: with the operands swapped, numpy's fused complex
+    # multiply gives other last bits
     np.multiply(cc[:, None], flat, out=flat)
     # two subtractions, bin then partner, round exactly as one window did
     state.weighted_residual_spectrum -= shifted[0]
@@ -274,12 +293,14 @@ def _reconstruct_blocks(
     """Center patches (F, B, B) and fallback flags (F,) of a stack of independent windows.
 
     Weights, omegas and priors are built once for the stack.  A window
-    without data gets its fallback value; the others run through the kernel
-    as one stack, whose peak allocation is about 148 kB per 32x32 window.
+    without usable data (``_no_data``; every window with omega == 0, since
+    omega is the weight sum over at most M*N) gets its fallback value; the
+    others run through the kernel as one stack, whose peak allocation is
+    about 148 kB per 32x32 window.
     """
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
-    fallback = omega == 0.0
+    fallback = _no_data(wm.weight_sum)
     g = np.empty(ctx.values.shape)
     g[fallback] = fallback_values[fallback, None, None]
     idx = np.flatnonzero(~fallback)
@@ -347,7 +368,7 @@ def reconstruct_block_reference(
     check_kind("prior", prior, PriorKind, "a PriorKind")
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
-    if omega == 0.0:
+    if _no_data(wm.weight_sum):
         return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
     M, N = ctx.M, ctx.N
@@ -395,12 +416,15 @@ def reconstruct_image(
     attenuated weight.  Blocks run in wavefronts t = col + k*row with
     k = ceil(border / block_size) + 1: a window reaches ceil(border /
     block_size) blocks to each side, so it overlaps no other block of its
-    front and no raster-later block of an earlier front.  Each front is
-    gathered, reconstructed and pasted back as one stack.  Known samples
-    pass through bit-identically.  Blocks whose window contains no data
-    are filled with the mean of the known pixels in raster-earlier blocks
-    and reported in ``fallback_blocks``, in raster order.  ``prior`` is the
-    rule for each window's prior exponent alpha (see ``priors``).
+    front and no raster-later block of an earlier front.  Each front's
+    blocks with an unknown pixel are gathered, reconstructed and pasted
+    back as one stack; a block without one would write nothing and is
+    skipped.  Known samples pass through bit-identically.  Blocks whose
+    window holds no usable data (zero weight sum, or one too small for a
+    finite reciprocal) are filled with the mean of the known pixels in
+    raster-earlier blocks and reported in ``fallback_blocks``, in raster
+    order.  ``prior`` is the rule for each window's prior exponent alpha
+    (see ``priors``).
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
     known_values = check_inputs(image, mask)
@@ -427,12 +451,17 @@ def reconstruct_image(
     # flat plane offsets of a center block from its block's image origin
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
+        at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
+        fill = labels.flat[at] == AreaLabel.B.value
+        # a block without an unknown pixel would write nothing
+        todo = fill.any(axis=(1, 2))
+        if not todo.any():
+            continue
+        members, at, fill = members[todo], at[todo], fill[todo]
         ctx = build_block_context(*windows, origins[members], B, b)
         patches, fell_back[members] = _reconstruct_blocks(
             ctx, params, fallback_values[members], prior=prior
         )
-        at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
-        fill = labels.flat[at] == AreaLabel.B.value
         out.flat[at[fill]] = patches[fill]
         # fallback fills carry no signal model; they must not support
         # later windows as reconstructed samples

@@ -110,7 +110,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
     """Run every (tau, image, density, seed, method), tau outermost; write ``report.csv``.
 
     Deterministic apart from timing.  Methods without a prior run at every
-    tau and record it as None.  Unreadable images are logged and skipped.
+    tau and record it as None.  Unreadable images are logged and skipped;
+    if none is readable, nothing runs and no CSV is written: a ValueError.
     The ``seconds`` of a run exclude one-time imports.
     """
     if {"lin", "nn"} & set(config.methods):
@@ -121,6 +122,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
             images.append((image_path, read_image(image_path)))
         except (OSError, ValueError) as exc:
             log.error("skipping %s: %s", image_path, exc)
+    if not images:
+        raise ValueError("no image could be read; nothing to run")
     rows = []
     for tau, (image_path, image), density, seed, method in itertools.product(
         config.taus or [config.params.tau], images, config.densities, config.seeds, config.methods

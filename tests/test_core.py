@@ -254,6 +254,19 @@ class TestReciprocalObjective:
             )
         assert sign_differences > 0  # the cases reach the signed zeros
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+    @pytest.mark.parametrize("F", range(1, 18))
+    def test_full_shape_reciprocal_equals_the_broadcast_one(self, F):
+        rng = np.random.default_rng(F)
+        state = random_state(rng, F, 8, 8, weight_sum=10.0 ** rng.uniform(-300, 300, F))
+        parts = state.weighted_residual_spectrum.view(np.float64)
+        parts[...] = extreme_components(rng, parts.shape)
+        inv = state.inv_weight_sum
+        assert inv.shape == (F, 2 * len(state.order)) and inv.flags.c_contiguous
+        broadcast = np.take(state.residual_rows, state.order, axis=1)
+        broadcast.view(np.float64)[...] *= (1.0 / state.weight_sum)[:, None]
+        assert projection_coefficients(state).tobytes() == broadcast.tobytes()
+
     def test_update_coefficients_are_the_true_divide(self):
         p = FsrParams()
         for rng, state, prior_weights in self.cases():
@@ -334,6 +347,37 @@ class TestUpdateModel:
         np.testing.assert_allclose(state.coef[0], np.conj(flipped), atol=1e-12)
         assert np.max(np.abs(np.imag(np.fft.ifft2(state.coef[0]) * 64))) < 1e-6
         assert g.shape == (1, 8, 8)
+
+
+def test_mixed_self_conjugate_stack_equals_one_window_stacks():
+    """A stack updates each window as a stack of one would, whichever bins they take."""
+    M = N = 8
+    table = _position_table(M, N)
+    self_conj = np.flatnonzero(table.self_conjugate)
+    ordinary = np.flatnonzero(~table.self_conjugate)
+    rng = np.random.default_rng(26)
+    F, p = 7, FsrParams()
+    w, values = rng.random((F, M, N)), rng.uniform(0, 255, (F, M, N))
+    stack = init_model_state(values, WeightMap(w, w.sum(axis=(1, 2))))
+    singles = [
+        init_model_state(values[f : f + 1], WeightMap(w[f : f + 1], w[f : f + 1].sum(axis=(1, 2))))
+        for f in range(F)
+    ]
+    for it in range(12):
+        take = rng.random(F) < 0.5
+        take[it % F] = True  # a mix in every iteration
+        take[(it + 1) % F] = False
+        j = np.where(take, rng.choice(self_conj, F), rng.choice(ordinary, F))
+        update_model(stack, j, p)
+        cc = stack.updates[-1][1]
+        for f, single in enumerate(singles):
+            update_model(single, j[f : f + 1], p)
+            assert cc[[f, F + f]].tobytes() == single.updates[-1][1].tobytes()
+            assert (
+                stack.weighted_residual_spectrum[f].tobytes()
+                == single.weighted_residual_spectrum[0].tobytes()
+            )
+        assert np.all(cc[:F][take].imag == 0.0) and np.all(cc[F:][take] == 0.0)
 
 
 class TestCachedTables:

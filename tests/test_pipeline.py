@@ -441,6 +441,15 @@ class TestCli:
         assert f"skipping {png}" in caplog.text
         assert "only PGM images" in caplog.text
 
+    def test_bench_without_a_readable_image_exits_1(self, tmp_path, capsys, caplog):
+        cfg = {"images": [str(tmp_path / "nope.pgm")], "densities": [0.5], "methods": ["nn"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "no image could be read" in capsys.readouterr().err
+        assert "skipping" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_bench_json_config(self, test_image, tmp_path):
         cfg = {
             "images": [test_image],
