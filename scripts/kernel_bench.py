@@ -40,7 +40,9 @@ from bench_by_method import quartiles  # noqa: E402
 from workloads import make_image  # noqa: E402
 
 STACK_SIZES = (1, 3, 10, 30)
+IMAGE_SIDES = (512, 64)  # long, short: the benchmark's 512x64 and 64x512
 IMAGE_CALLS = (("adaptive", 0.1), ("otf", 0.5))
+SEED = 0
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
@@ -81,10 +83,10 @@ def time_kernel(tree, labels: np.ndarray, values: np.ndarray) -> float:
     return (time.process_time() - t0) / params.iterations * 1e6
 
 
-def time_image(tree, image: np.ndarray, prior: str, density: float, seed: int):
+def time_image(tree, image: np.ndarray, prior: str, density: float):
     """CPU ms per block of one reconstruction, and its output bytes."""
     grid, params = tree.grid, tree.weighting.FsrParams()
-    mask = grid.generate_mask(image.shape[1], image.shape[0], density, seed)
+    mask = grid.generate_mask(image.shape[1], image.shape[0], density, SEED)
     t0 = time.process_time()
     result = tree.core.reconstruct_image(
         grid.ImageGrid(image), mask, params, tree.priors.PriorKind(prior)
@@ -126,9 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="one or two src/ directories, each holding fsrecon/")
     ap.add_argument("--repeats", type=int, default=15, help="kernel turns per tree")
     ap.add_argument("--image-repeats", type=int, default=5, help="image turns per tree")
-    ap.add_argument("--long", type=int, default=512, help="long image side")
-    ap.add_argument("--short", type=int, default=64, help="short image side")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the inputs")
     args = ap.parse_args(argv)
     if not 1 <= len(args.trees) <= 2:
         ap.error("give one or two trees")
@@ -136,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     print("trees: " + "  ".join(str(src) for src in args.trees))
 
     params = trees[0].weighting.FsrParams()
-    M, rng = params.window_size, np.random.default_rng(args.seed)
+    M, rng = params.window_size, np.random.default_rng(SEED)
     for F in STACK_SIZES:
         known = rng.random((F, M, M)) < 0.1
         labels = np.where(known, 0, 1).astype(np.uint8)  # AreaLabel A and B
@@ -146,12 +145,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         report(f"kernel iteration F={F}", "us", times)
 
-    for width, height in ((args.long, args.short), (args.short, args.long)):
-        image = make_image(width, height, args.seed).astype(np.float64)
+    long, short = IMAGE_SIDES
+    for width, height in ((long, short), (short, long)):
+        image = make_image(width, height, SEED).astype(np.float64)
         for prior, density in IMAGE_CALLS:
             times, outputs = interleave(
                 trees, args.image_repeats,
-                lambda tree: time_image(tree, image, prior, density, args.seed),
+                lambda tree: time_image(tree, image, prior, density),
             )
             equal = "  outputs equal" if len(outputs) == 1 else "  OUTPUTS DIFFER"
             report(f"image {width}x{height} {prior}@{density}", "ms", times, equal)

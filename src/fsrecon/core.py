@@ -235,9 +235,8 @@ def update_model(state: ModelState, j: NDArray[np.intp], params: FsrParams) -> M
     np.conj(c, out=partner)
     # only 4 of the M*N/2+2 positions, but often selected: DC above all
     self_conj = state.table.self_conjugate.take(j)
-    if np.count_nonzero(self_conj):  # a C call; ndarray.any() goes through Python
-        c.imag[self_conj] = 0.0
-        partner[self_conj] = 0.0
+    c.imag[self_conj] = 0.0
+    partner[self_conj] = 0.0
     state.updates.append((j, cc))
     offsets = state.table.offsets.take(j, axis=1)
     offsets += state.tile_offsets
@@ -283,6 +282,12 @@ def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float
     return patch
 
 
+def _has_unknown(ctx: BlockContext) -> NDArray[np.bool_]:
+    """Whether each window's center block holds an unknown (B) pixel."""
+    b, B = ctx.border, ctx.block_size
+    return (ctx.labels[..., b : b + B, b : b + B] == AreaLabel.B.value).any(axis=(-2, -1))
+
+
 def _reconstruct_blocks(
     ctx: BlockContext,
     params: FsrParams,
@@ -296,7 +301,10 @@ def _reconstruct_blocks(
     without usable data (``_no_data``; every window with omega == 0, since
     omega is the weight sum over at most M*N) gets its fallback value; the
     others run through the kernel as one stack, whose peak allocation is
-    about 148 kB per 32x32 window.
+    about 148 kB per 32x32 window.  The flag marks a window with omega ==
+    0, and one without usable data whose center holds an unknown pixel; a
+    window with some weight but nothing to fill writes nothing and is not
+    flagged.
     """
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
@@ -317,7 +325,7 @@ def _reconstruct_blocks(
                     traces[i].append(uv)
             update_model(state, j, params)
         g[idx] = synthesize_model(state)
-    return _center_patch(ctx, g), fallback
+    return _center_patch(ctx, g), fallback & ((omega == 0.0) | _has_unknown(ctx))
 
 
 def reconstruct_block(
@@ -329,9 +337,9 @@ def reconstruct_block(
 ) -> tuple[NDArray[np.float64], bool]:
     """Reconstruct the center block of one window; FFT fast path.
 
-    Returns the B x B patch and a flag marking the zero-data fallback
-    (window without any known or reconstructed sample), in which case the
-    unknown center pixels are filled with ``fallback_value``.
+    Returns the B x B patch and the fallback flag of ``_reconstruct_blocks``;
+    a window without usable data fills its unknown center pixels with
+    ``fallback_value``.
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
     stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
@@ -369,7 +377,8 @@ def reconstruct_block_reference(
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
     if _no_data(wm.weight_sum):
-        return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
+        flagged = omega == 0.0 or _has_unknown(ctx)
+        return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), bool(flagged)
 
     M, N = ctx.M, ctx.N
     prior_weights = build_prior_map(
@@ -416,15 +425,13 @@ def reconstruct_image(
     attenuated weight.  Blocks run in wavefronts t = col + k*row with
     k = ceil(border / block_size) + 1: a window reaches ceil(border /
     block_size) blocks to each side, so it overlaps no other block of its
-    front and no raster-later block of an earlier front.  Each front's
-    blocks with an unknown pixel are gathered, reconstructed and pasted
-    back as one stack; a block without one would write nothing and is
-    skipped.  Known samples pass through bit-identically.  Blocks whose
-    window holds no usable data (zero weight sum, or one too small for a
-    finite reciprocal) are filled with the mean of the known pixels in
-    raster-earlier blocks and reported in ``fallback_blocks``, in raster
-    order.  ``prior`` is the rule for each window's prior exponent alpha
-    (see ``priors``).
+    front and no raster-later block of an earlier front.  Each front is
+    gathered, reconstructed and pasted back as one stack.  Known samples
+    pass through bit-identically.  Blocks whose window holds no usable
+    data (zero weight sum, or one too small for a finite reciprocal) are
+    filled with the mean of the known pixels in raster-earlier blocks and
+    reported in ``fallback_blocks``, in raster order.  ``prior`` is the
+    rule for each window's prior exponent alpha (see ``priors``).
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
     known_values = check_inputs(image, mask)
@@ -451,17 +458,12 @@ def reconstruct_image(
     # flat plane offsets of a center block from its block's image origin
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
-        at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
-        fill = labels.flat[at] == AreaLabel.B.value
-        # a block without an unknown pixel would write nothing
-        todo = fill.any(axis=(1, 2))
-        if not todo.any():
-            continue
-        members, at, fill = members[todo], at[todo], fill[todo]
         ctx = build_block_context(*windows, origins[members], B, b)
         patches, fell_back[members] = _reconstruct_blocks(
             ctx, params, fallback_values[members], prior=prior
         )
+        at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
+        fill = labels.flat[at] == AreaLabel.B.value
         out.flat[at[fill]] = patches[fill]
         # fallback fills carry no signal model; they must not support
         # later windows as reconstructed samples

@@ -9,9 +9,10 @@ kernel_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel_bench)
 
 
-def test_two_trees_report_every_case(capsys):
+def test_two_trees_report_every_case(capsys, monkeypatch):
+    monkeypatch.setattr(kernel_bench, "IMAGE_SIDES", (12, 8))
     src = str(ROOT / "src")
-    argv = [src, src, "--repeats", "2", "--image-repeats", "1", "--long", "12", "--short", "8"]
+    argv = [src, src, "--repeats", "2", "--image-repeats", "1"]
     assert kernel_bench.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     kernel = [line for line in lines if line.startswith("kernel iteration")]

@@ -116,3 +116,34 @@ def test_subnormal_weight_sum_falls_back_on_both_paths():
     expected = np.full((4, 4), 60.0)
     expected[3, 3] = 100.0  # the known sample passes through
     assert fast.tobytes() == oracle.tobytes() == expected.tobytes()
+
+
+
+@pytest.mark.parametrize("rho_hat, listed", [
+    (1e-150, []),
+    (1e-200, [(8, 8)]),
+    (1e-300, [(0, 8), (4, 8), (8, 0), (8, 4), (8, 8)]),
+])
+def test_only_empty_windows_of_blocks_without_a_pixel_to_fill_are_listed(rho_hat, listed):
+    # fully known 9x9 at block size 4, border 0: the edge blocks' known
+    # pixels lie 1.58 px and more from their window's center, the corner
+    # pixel 2.12 px, so their weights turn subnormal, then zero, as rho_hat
+    # falls; only a zero sum (omega == 0) lists a block with nothing to fill
+    params = FsrParams(rho_hat=rho_hat, block_size=4, border=0)
+    samples = np.random.default_rng(3).uniform(0.0, 255.0, (9, 9))
+    flags = np.ones((9, 9), dtype=bool)
+    result = reconstruct_image(ImageGrid(samples), SamplingMask(flags), params)
+    assert result.image.samples.tobytes() == samples.tobytes()
+    assert result.fallback_blocks == listed
+
+
+def test_subnormal_weight_sum_without_a_pixel_to_fill_is_not_flagged():
+    labels = np.full((4, 4), AreaLabel.OUTSIDE.value, dtype=np.uint8)
+    labels[0, 0] = AreaLabel.A.value  # 2.12 px from the center: 1e-150 ** 2.12 is subnormal
+    values = np.zeros((4, 4))
+    values[0, 0] = 9.0
+    ctx = BlockContext(block_size=4, border=0, labels=labels, values=values)
+    params = FsrParams(rho_hat=1e-150)
+    for patch, fell_back in (reconstruct_block(ctx, params), reconstruct_block_reference(ctx, params)):
+        assert not fell_back
+        assert patch[0, 0] == 9.0
