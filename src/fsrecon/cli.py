@@ -57,7 +57,7 @@ def _load_config(path: str, output_dir: str) -> ExperimentConfig:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.out)
     rows = run_experiment(config)
-    print(f"{len(rows)} runs written to {config.output_dir}")
+    print(f"{len(rows)} rows written to {config.output_dir}")
     return 0
 
 

@@ -262,7 +262,7 @@ def synthesize_model(state: ModelState) -> NDArray[np.float64]:
     F, M, N = len(state.weight_sum), state.M, state.N
     j = np.array([j for j, _ in state.updates])  # (iterations, F)
     cc = np.array([cc for _, cc in state.updates])  # (iterations, 2F)
-    bins = _position_table(M, N).bins[:, j].transpose(1, 0, 2)  # (iterations, 2, F)
+    bins = state.table.bins[:, j].transpose(1, 0, 2)  # (iterations, 2, F)
     at = (bins + np.arange(F) * (M * N)).ravel()
     coef = np.empty((F, M, N), dtype=np.complex128)
     coef.real = np.bincount(at, cc.real.ravel(), F * M * N).reshape(F, M, N)

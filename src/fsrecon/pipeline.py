@@ -58,6 +58,8 @@ class ExperimentConfig:
     """A sweep over every (tau, image, density, seed, method); each value is checked here.
 
     A given ``taus`` replaces ``params.tau``; ``None`` sweeps ``[params.tau]``.
+    Only ``fsr-ap`` reads tau: ``fsr-otf`` and ``fsr-none`` record each row's
+    tau, though their output ignores it.
     """
 
     images: list[str]
@@ -100,19 +102,24 @@ class RunRow:
     density: float
     seed: int
     method: str
-    tau: float | None  # None for methods without a prior
+    tau: float | None  # None for lin and nn; fsr-otf and fsr-none record it but ignore it
     psnr_db: float
     seconds: float
     fallback_blocks: int
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRow]:
-    """Run every (tau, image, density, seed, method), tau outermost; write ``report.csv``.
+    """A row for every (tau, image, density, seed, method), tau outermost; write ``report.csv``.
 
-    Deterministic apart from timing.  Methods without a prior run at every
-    tau and record it as None.  Unreadable images are logged and skipped;
-    if none is readable, nothing runs and no CSV is written: a ValueError.
-    The ``seconds`` of a run exclude one-time imports.
+    Deterministic apart from timing.  Each distinct output runs once, keyed
+    by (image position, density, seed, method, tau only for ``fsr-ap``):
+    only the adaptive prior reads tau.  Every row of a key carries that
+    run's psnr, ``seconds`` and fallback count.  ``fsr-otf`` and ``fsr-none``
+    rows record their tau, though their output ignores it; ``lin`` and
+    ``nn`` rows record None.  Unreadable images are logged and skipped; the
+    config rejects empty axes, so nothing runs only when no image is
+    readable, and then no CSV is written: a ValueError.  The ``seconds`` of
+    a run exclude one-time imports.
     """
     if {"lin", "nn"} & set(config.methods):
         import_scipy()  # before the first timed baseline run
@@ -124,27 +131,22 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
             log.error("skipping %s: %s", image_path, exc)
     if not images:
         raise ValueError("no image could be read; nothing to run")
-    rows = []
-    for tau, (image_path, image), density, seed, method in itertools.product(
-        config.taus or [config.params.tau], images, config.densities, config.seeds, config.methods
+    rows, runs = [], {}  # runs: the last three RunRow fields of each distinct output
+    for tau, (i, (image_path, image)), density, seed, method in itertools.product(
+        config.taus or [config.params.tau], enumerate(images), config.densities, config.seeds,
+        config.methods,
     ):
-        params = dataclasses.replace(config.params, tau=tau)
-        mask = generate_mask(image.width, image.height, density, seed)
-        t0 = time.perf_counter()
-        result = run_method(method, image, mask, params)
-        seconds = time.perf_counter() - t0
-        rows.append(
-            RunRow(
-                image=image_path,
-                density=float(density),
-                seed=seed,
-                method=method,
-                tau=float(tau) if method in _PRIOR_BY_METHOD else None,
-                psnr_db=psnr(image, result.image),
-                seconds=seconds,
-                fallback_blocks=len(result.fallback_blocks),
-            )
-        )
+        prior = _PRIOR_BY_METHOD.get(method)
+        key = (i, density, seed, method, tau if prior is PriorKind.ADAPTIVE else None)
+        if key not in runs:
+            params = dataclasses.replace(config.params, tau=tau)
+            mask = generate_mask(image.width, image.height, density, seed)
+            t0 = time.perf_counter()
+            result = run_method(method, image, mask, params)
+            seconds = time.perf_counter() - t0
+            runs[key] = (psnr(image, result.image), seconds, len(result.fallback_blocks))
+        row_tau = None if prior is None else float(tau)
+        rows.append(RunRow(image_path, float(density), seed, method, row_tau, *runs[key]))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.csv", "w", newline="") as fh:

@@ -1,20 +1,25 @@
+import collections
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fsrecon.cli
+from fsrecon import pipeline
 from fsrecon.cli import main as cli_main
-from fsrecon.grid import ImageGrid, SamplingMask
+from fsrecon.grid import ImageGrid, SamplingMask, generate_mask
 from fsrecon.imgio import read_image, write_pgm
 from fsrecon.pipeline import (
     METHODS,
     ExperimentConfig,
+    RunRow,
     psnr,
     run_experiment,
     run_method,
@@ -168,6 +173,81 @@ class TestSweepTau:
             (r.method, "" if r.tau is None else str(r.tau)) for r in swept
         ]
         assert not (tmp_path / "tau_sweep.csv").exists()
+
+
+class TestRunOncePerOutput:
+    """A sweep runs each distinct output once: only fsr-ap reads tau."""
+
+    PARAMS = FsrParams(block_size=4, border=4, iterations=5)
+
+    def test_tau_independent_methods_run_once_per_tau_sweep(self, test_image, tmp_path, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(method, image, mask, params):
+            calls[method] += 1
+            return run_method(method, image, mask, params)
+
+        monkeypatch.setattr(pipeline, "run_method", counting)
+        cfg = ExperimentConfig(
+            images=[test_image], densities=[0.1, 0.5], seeds=[1], params=self.PARAMS,
+            output_dir=str(tmp_path), taus=[1.0, 2.0, 4.0],
+        )
+        rows = run_experiment(cfg)
+        assert len(rows) == 30
+        assert calls == {"fsr-ap": 6, "fsr-otf": 2, "fsr-none": 2, "lin": 2, "nn": 2}
+
+    def test_rows_equal_a_run_per_row(self, test_image, tmp_path):
+        flipped = tmp_path / "flipped.pgm"
+        write_pgm(flipped, ImageGrid(read_image(test_image).samples[::-1]))
+        cfg = ExperimentConfig(
+            images=[test_image, "/nonexistent/nope.pgm", str(flipped)],
+            densities=[0.3, 0.5, 0.3], seeds=[1, 1], params=self.PARAMS,
+            output_dir=str(tmp_path), taus=[1.0, 3.0, 1.0],
+        )
+        readable = [(test_image, read_image(test_image)), (str(flipped), read_image(flipped))]
+        reference = []
+        for tau, (path, image), density, seed, method in itertools.product(
+            cfg.taus, readable, cfg.densities, cfg.seeds, cfg.methods
+        ):
+            mask = generate_mask(image.width, image.height, density, seed)
+            result = run_method(method, image, mask, dataclasses.replace(cfg.params, tau=tau))
+            row_tau = None if method in ("lin", "nn") else tau
+            reference.append(RunRow(path, density, seed, method, row_tau,
+                                    psnr(image, result.image), 0.0, len(result.fallback_blocks)))
+
+        rows = run_experiment(cfg)
+        assert len(rows) == 180
+        assert [dataclasses.replace(r, seconds=0.0) for r in rows] == reference
+        records = read_records(tmp_path / "report.csv")
+        for record in records:
+            del record["seconds"]
+        assert records == [
+            {k: "" if v is None else str(v) for k, v in dataclasses.asdict(r).items() if k != "seconds"}
+            for r in reference
+        ]
+
+    def test_rows_of_one_key_carry_the_seconds_of_its_run(self, test_image, tmp_path, monkeypatch):
+        # a clock that the k-th run advances by k seconds
+        clock = [0.0]
+        calls = []
+
+        def timed(method, image, mask, params):
+            calls.append(method)
+            clock[0] += len(calls)
+            return run_method(method, image, mask, params)
+
+        monkeypatch.setattr(pipeline, "run_method", timed)
+        monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        cfg = ExperimentConfig(
+            images=[test_image], densities=[0.5], seeds=[1], methods=["fsr-ap", "fsr-otf", "nn"],
+            params=self.PARAMS, output_dir=str(tmp_path), taus=[1.0, 2.0],
+        )
+        rows = run_experiment(cfg)
+        assert calls == ["fsr-ap", "fsr-otf", "nn", "fsr-ap"]
+        assert [(r.method, r.tau, r.seconds) for r in rows] == [
+            ("fsr-ap", 1.0, 1.0), ("fsr-otf", 1.0, 2.0), ("nn", None, 3.0),
+            ("fsr-ap", 2.0, 4.0), ("fsr-otf", 2.0, 2.0), ("nn", None, 3.0),
+        ]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -494,7 +574,7 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv"]
         records = read_records(tmp_path / "report.csv")
         assert [r["tau"] for r in records] == ["2.0", ""]  # taus defaults to [2.0]
-        assert capsys.readouterr().out == "2 runs written to .\n"
+        assert capsys.readouterr().out == "2 rows written to .\n"
 
     @pytest.mark.parametrize(
         "text",
