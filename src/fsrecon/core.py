@@ -282,12 +282,6 @@ def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float
     return patch
 
 
-def _has_unknown(ctx: BlockContext) -> NDArray[np.bool_]:
-    """Whether each window's center block holds an unknown (B) pixel."""
-    b, B = ctx.border, ctx.block_size
-    return (ctx.labels[..., b : b + B, b : b + B] == AreaLabel.B.value).any(axis=(-2, -1))
-
-
 def _reconstruct_blocks(
     ctx: BlockContext,
     params: FsrParams,
@@ -295,16 +289,13 @@ def _reconstruct_blocks(
     traces: Sequence[list] | None = None,
     prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Center patches (F, B, B) and fallback flags (F,) of a stack of independent windows.
+    """Center patches (F, B, B) of a stack of independent windows, and whether
+    each window took the fallback (F,).
 
     Weights, omegas and priors are built once for the stack.  A window
-    without usable data (``_no_data``; every window with omega == 0, since
-    omega is the weight sum over at most M*N) gets its fallback value; the
-    others run through the kernel as one stack, whose peak allocation is
-    about 148 kB per 32x32 window.  The flag marks a window with omega ==
-    0, and one without usable data whose center holds an unknown pixel; a
-    window with some weight but nothing to fill writes nothing and is not
-    flagged.
+    without usable data (``_no_data``) takes the fallback: its unknown
+    pixels get its fallback value.  The others run through the kernel as
+    one stack, whose peak allocation is about 148 kB per 32x32 window.
     """
     wm = build_weight_map(ctx, params)
     omega = effective_density(ctx, wm, params)
@@ -325,7 +316,7 @@ def _reconstruct_blocks(
                     traces[i].append(uv)
             update_model(state, j, params)
         g[idx] = synthesize_model(state)
-    return _center_patch(ctx, g), fallback & ((omega == 0.0) | _has_unknown(ctx))
+    return _center_patch(ctx, g), fallback
 
 
 def reconstruct_block(
@@ -337,8 +328,8 @@ def reconstruct_block(
 ) -> tuple[NDArray[np.float64], bool]:
     """Reconstruct the center block of one window; FFT fast path.
 
-    Returns the B x B patch and the fallback flag of ``_reconstruct_blocks``;
-    a window without usable data fills its unknown center pixels with
+    Returns the B x B patch and whether the window took the fallback: a
+    window without usable data fills its unknown center pixels with
     ``fallback_value``.
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
@@ -375,12 +366,11 @@ def reconstruct_block_reference(
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
     wm = build_weight_map(ctx, params)
-    omega = effective_density(ctx, wm, params)
     if _no_data(wm.weight_sum):
-        flagged = omega == 0.0 or _has_unknown(ctx)
-        return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), bool(flagged)
+        return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
     M, N = ctx.M, ctx.N
+    omega = effective_density(ctx, wm, params)
     prior_weights = build_prior_map(
         M, N, prior_alphas(prior, np.array([omega]), params), np.arange(M * N)
     )
@@ -427,11 +417,13 @@ def reconstruct_image(
     block_size) blocks to each side, so it overlaps no other block of its
     front and no raster-later block of an earlier front.  Each front is
     gathered, reconstructed and pasted back as one stack.  Known samples
-    pass through bit-identically.  Blocks whose window holds no usable
-    data (zero weight sum, or one too small for a finite reciprocal) are
-    filled with the mean of the known pixels in raster-earlier blocks and
-    reported in ``fallback_blocks``, in raster order.  ``prior`` is the
-    rule for each window's prior exponent alpha (see ``priors``).
+    pass through bit-identically.  A block whose window holds no usable
+    data (zero weight sum, or one too small for a finite reciprocal) takes
+    the fallback: its unknown pixels get the mean of the known pixels in
+    raster-earlier blocks.  ``fallback_blocks`` lists, in raster order,
+    exactly the blocks that filled at least one pixel with that value.
+    ``prior`` is the rule for each window's prior exponent alpha (see
+    ``priors``).
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
     known_values = check_inputs(image, mask)
@@ -459,15 +451,14 @@ def reconstruct_image(
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
         ctx = build_block_context(*windows, origins[members], B, b)
-        patches, fell_back[members] = _reconstruct_blocks(
-            ctx, params, fallback_values[members], prior=prior
-        )
+        patches, no_data = _reconstruct_blocks(ctx, params, fallback_values[members], prior=prior)
         at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
         fill = labels.flat[at] == AreaLabel.B.value
         out.flat[at[fill]] = patches[fill]
         # fallback fills carry no signal model; they must not support
         # later windows as reconstructed samples
-        labels.flat[at[fill & ~fell_back[members, None, None]]] = AreaLabel.R.value
+        labels.flat[at[fill & ~no_data[:, None, None]]] = AreaLabel.R.value
+        fell_back[members] = no_data & fill.any(axis=(1, 2))
 
     return ReconstructionResult(
         image=ImageGrid(out[b : b + H, b : b + W]),

@@ -62,6 +62,10 @@ def make_mask(kind, shape, rng):
 # subnormal sum: once "samples must be finite" from NaN projections
 @example(rho_hat=1e-150, delta=0.5, gamma=0.5, tau=2.0, block_size=4, border=14,
          iterations=100, mask_kind=0.1, shape=(24, 24), prior=PriorKind.ADAPTIVE, seed=2)
+# edge blocks of a fully known image whose weight sums underflow to zero:
+# they take the fallback but fill nothing, so they are not listed
+@example(rho_hat=1e-300, delta=0.5, gamma=0.5, tau=2.0, block_size=4, border=0,
+         iterations=1, mask_kind="all", shape=(9, 9), prior=PriorKind.ADAPTIVE, seed=3)
 def test_accepted_params_give_finite_output_or_name_a_field(
     rho_hat, delta, gamma, tau, block_size, border, iterations, mask_kind, shape, prior, seed
 ):
@@ -80,6 +84,8 @@ def test_accepted_params_give_finite_output_or_name_a_field(
     assert np.all(np.isfinite(out))
     assert out.min() >= 0.0 and out.max() <= 255.0
     assert out[flags].tobytes() == samples[flags].tobytes()
+    B = block_size
+    assert all((~flags[r0 : r0 + B, c0 : c0 + B]).any() for r0, c0 in result.fallback_blocks)
 
 
 @pytest.mark.parametrize("rho_hat", [1e-150, 1e-200])
@@ -119,25 +125,20 @@ def test_subnormal_weight_sum_falls_back_on_both_paths():
 
 
 
-@pytest.mark.parametrize("rho_hat, listed", [
-    (1e-150, []),
-    (1e-200, [(8, 8)]),
-    (1e-300, [(0, 8), (4, 8), (8, 0), (8, 4), (8, 8)]),
-])
-def test_only_empty_windows_of_blocks_without_a_pixel_to_fill_are_listed(rho_hat, listed):
+def test_a_block_is_listed_exactly_when_it_filled_a_pixel_with_the_fallback(tmp_path, capsys):
     # fully known 9x9 at block size 4, border 0: the edge blocks' known
     # pixels lie 1.58 px and more from their window's center, the corner
-    # pixel 2.12 px, so their weights turn subnormal, then zero, as rho_hat
-    # falls; only a zero sum (omega == 0) lists a block with nothing to fill
-    params = FsrParams(rho_hat=rho_hat, block_size=4, border=0)
+    # pixel 2.12 px, so their weight sums turn subnormal, then zero, as
+    # rho_hat falls; those windows take the fallback but fill nothing
     samples = np.random.default_rng(3).uniform(0.0, 255.0, (9, 9))
     flags = np.ones((9, 9), dtype=bool)
-    result = reconstruct_image(ImageGrid(samples), SamplingMask(flags), params)
-    assert result.image.samples.tobytes() == samples.tobytes()
-    assert result.fallback_blocks == listed
+    for rho_hat in (1e-150, 1e-200, 1e-300):
+        params = FsrParams(rho_hat=rho_hat, block_size=4, border=0)
+        result = reconstruct_image(ImageGrid(samples), SamplingMask(flags), params)
+        assert result.image.samples.tobytes() == samples.tobytes()
+        assert result.fallback_blocks == []
 
-
-def test_subnormal_weight_sum_without_a_pixel_to_fill_is_not_flagged():
+    # one such window: both block paths report that it took the fallback
     labels = np.full((4, 4), AreaLabel.OUTSIDE.value, dtype=np.uint8)
     labels[0, 0] = AreaLabel.A.value  # 2.12 px from the center: 1e-150 ** 2.12 is subnormal
     values = np.zeros((4, 4))
@@ -145,5 +146,13 @@ def test_subnormal_weight_sum_without_a_pixel_to_fill_is_not_flagged():
     ctx = BlockContext(block_size=4, border=0, labels=labels, values=values)
     params = FsrParams(rho_hat=1e-150)
     for patch, fell_back in (reconstruct_block(ctx, params), reconstruct_block_reference(ctx, params)):
-        assert not fell_back
+        assert fell_back
         assert patch[0, 0] == 9.0
+
+    # and the CLI reports no fallback for an image without an unknown pixel
+    write_pgm(tmp_path / "in.pgm", ImageGrid(np.rint(samples)))
+    argv = ["reconstruct", "--input", str(tmp_path / "in.pgm"), "--density", "1.0",
+            "--method", "fsr-ap", "--rho-hat", "1e-300", "--block-size", "4", "--border", "0",
+            "--output", str(tmp_path / "out.pgm")]
+    assert cli_main(argv) == 0
+    assert "fallback" not in capsys.readouterr().out

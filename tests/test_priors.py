@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fsrecon.core import _position_table
+from fsrecon.grid import ImageGrid, SamplingMask, build_block_context, pad_planes
 from fsrecon.priors import ALPHA_MAX, PriorKind, alpha_of_omega, build_prior_map, prior_alphas
-from fsrecon.weighting import FsrParams
+from fsrecon.weighting import FsrParams, build_weight_map, effective_density
 
 
 def ref_prior(k, l, M, N, exponent):
@@ -199,3 +201,23 @@ class TestPriorMap:
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
             build_prior_map(31, 31, [1.0], np.arange(31 * 31))
+
+
+def test_alpha_map_falls_where_the_mask_is_dense():
+    # the paper's mechanism as a map: data density sets each block's
+    # low-pass strength; a mask dense on the left and sparse on the right
+    rng = np.random.default_rng(6)
+    H, W = 32, 64
+    flags = rng.random((H, W)) < np.where(np.arange(W) < W // 2, 0.6, 0.05)
+    image = ImageGrid(rng.uniform(0.0, 255.0, (H, W)))
+    params = FsrParams()
+    B = params.block_size
+    labels, values = pad_planes(image, SamplingMask(flags), B, params.border)
+    windows = [sliding_window_view(p, (B + 2 * params.border,) * 2) for p in (labels, values)]
+    origins = np.mgrid[0:H:B, 0:W:B].reshape(2, -1).T
+    ctx = build_block_context(*windows, origins, B, params.border)
+    omega = effective_density(ctx, build_weight_map(ctx, params), params)
+    alphas = np.array(prior_alphas(PriorKind.ADAPTIVE, omega, params))
+    left = origins[:, 1] < W // 2
+    assert np.median(alphas[left]) < np.median(alphas[~left])
+    assert prior_alphas(PriorKind.OTF, omega, params) == [1.0] * len(origins)

@@ -38,10 +38,10 @@ def raster_reconstruction(image, mask, params, block_fn):
             center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]
             fill = labels[center] == AreaLabel.B
             out[center][fill] = patch[fill]
-            if used_fb:
-                fallback_blocks.append((r0, c0))
-            else:
+            if not used_fb:
                 labels[center][fill] = AreaLabel.R
+            elif fill.any():  # listed exactly when it filled a pixel with the fallback value
+                fallback_blocks.append((r0, c0))
             blk_known = known[r0 : r0 + B, c0 : c0 + B]
             seen_sum += float(image.samples[r0 : r0 + B, c0 : c0 + B][blk_known].sum())
             seen_cnt += int(np.count_nonzero(blk_known))
