@@ -125,20 +125,28 @@ def test_subnormal_weight_sum_falls_back_on_both_paths():
 
 
 
-def test_a_block_is_listed_exactly_when_it_filled_a_pixel_with_the_fallback(tmp_path, capsys):
+@pytest.mark.parametrize("rho_hat, listed", [
+    (1e-150, []),
+    (1e-200, []),
+    (1e-300, []),
+])
+def test_only_empty_windows_of_blocks_without_a_pixel_to_fill_are_listed(rho_hat, listed):
     # fully known 9x9 at block size 4, border 0: the edge blocks' known
     # pixels lie 1.58 px and more from their window's center, the corner
     # pixel 2.12 px, so their weight sums turn subnormal, then zero, as
-    # rho_hat falls; those windows take the fallback but fill nothing
+    # rho_hat falls; those windows take the fallback but fill nothing, and
+    # a block is listed exactly when it filled a pixel with the fallback
+    params = FsrParams(rho_hat=rho_hat, block_size=4, border=0)
     samples = np.random.default_rng(3).uniform(0.0, 255.0, (9, 9))
     flags = np.ones((9, 9), dtype=bool)
-    for rho_hat in (1e-150, 1e-200, 1e-300):
-        params = FsrParams(rho_hat=rho_hat, block_size=4, border=0)
-        result = reconstruct_image(ImageGrid(samples), SamplingMask(flags), params)
-        assert result.image.samples.tobytes() == samples.tobytes()
-        assert result.fallback_blocks == []
+    result = reconstruct_image(ImageGrid(samples), SamplingMask(flags), params)
+    assert result.image.samples.tobytes() == samples.tobytes()
+    assert result.fallback_blocks == listed
 
-    # one such window: both block paths report that it took the fallback
+
+def test_subnormal_weight_sum_without_a_pixel_to_fill_is_not_flagged():
+    # the corner window of the 9x9 image above: both block paths report
+    # that it took the fallback, yet reconstruct_image does not list it
     labels = np.full((4, 4), AreaLabel.OUTSIDE.value, dtype=np.uint8)
     labels[0, 0] = AreaLabel.A.value  # 2.12 px from the center: 1e-150 ** 2.12 is subnormal
     values = np.zeros((4, 4))
@@ -148,8 +156,15 @@ def test_a_block_is_listed_exactly_when_it_filled_a_pixel_with_the_fallback(tmp_
     for patch, fell_back in (reconstruct_block(ctx, params), reconstruct_block_reference(ctx, params)):
         assert fell_back
         assert patch[0, 0] == 9.0
+    samples = np.random.default_rng(3).uniform(0.0, 255.0, (9, 9))
+    flags = np.ones((9, 9), dtype=bool)
+    result = reconstruct_image(ImageGrid(samples), SamplingMask(flags),
+                               FsrParams(rho_hat=1e-150, block_size=4, border=0))
+    assert (8, 8) not in result.fallback_blocks
 
-    # and the CLI reports no fallback for an image without an unknown pixel
+
+def test_cli_reports_no_fallback_for_an_image_without_an_unknown_pixel(tmp_path, capsys):
+    samples = np.random.default_rng(3).uniform(0.0, 255.0, (9, 9))
     write_pgm(tmp_path / "in.pgm", ImageGrid(np.rint(samples)))
     argv = ["reconstruct", "--input", str(tmp_path / "in.pgm"), "--density", "1.0",
             "--method", "fsr-ap", "--rho-hat", "1e-300", "--block-size", "4", "--border", "0",
