@@ -18,7 +18,7 @@ time a shared host keeps the process waiting.  Each line gives a tree's
 median [first quartile, third quartile]; with two trees it adds the ratio
 of the second tree's median to the first's and how many repeats the
 second tree won.  An image line also says whether both trees' outputs and
-fallback blocks are byte-equal.
+fallback blocks are byte-equal; the script exits 1 if any of them differ.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         report(f"kernel iteration F={F}", "us", times)
 
     long, short = IMAGE_SIDES
+    differ = False
     for width, height in ((long, short), (short, long)):
         image = make_image(width, height, SEED).astype(np.float64)
         for prior, density in IMAGE_CALLS:
@@ -153,9 +154,10 @@ def main(argv: list[str] | None = None) -> int:
                 trees, args.image_repeats,
                 lambda tree: time_image(tree, image, prior, density),
             )
+            differ |= len(outputs) > 1
             equal = "  outputs equal" if len(outputs) == 1 else "  OUTPUTS DIFFER"
             report(f"image {width}x{height} {prior}@{density}", "ms", times, equal)
-    return 0
+    return int(differ)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ class ModelState:
     the selected positions and the coefficients of the bins and their
     partners; ``synthesize_model`` accumulates them into ``coef``.
 
-    ``__post_init__`` caches what every iteration reads: views of the
+    The other fields are what every iteration reads: views of the
     residual as (F, (M/2+1)*N) rows and as one flat run with each row's
     start, the position table and its ``order``, and ``inv_weight_sum``,
     each window's 1/weight_sum repeated over the (F, 2P) float view of the
@@ -59,25 +59,16 @@ class ModelState:
     weight_sum: NDArray[np.float64]
     M: int
     N: int
+    residual_rows: NDArray[np.complex128]
+    residual_flat: NDArray[np.complex128]
+    row_starts: NDArray[np.intp]
+    table: _PositionTable
+    order: NDArray[np.intp]
+    inv_weight_sum: NDArray[np.float64]
     updates: list[tuple[NDArray[np.intp], NDArray[np.complex128]]] = field(
         default_factory=list
     )
     coef: NDArray[np.complex128] | None = None
-    residual_rows: NDArray[np.complex128] = field(init=False, repr=False)
-    residual_flat: NDArray[np.complex128] = field(init=False, repr=False)
-    row_starts: NDArray[np.intp] = field(init=False, repr=False)
-    table: _PositionTable = field(init=False, repr=False)
-    order: NDArray[np.intp] = field(init=False, repr=False)
-    inv_weight_sum: NDArray[np.float64] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        F = len(self.weight_sum)
-        self.residual_rows = self.weighted_residual_spectrum.reshape(F, -1)
-        self.residual_flat = self.residual_rows.reshape(-1)
-        self.row_starts = np.arange(F) * self.residual_rows.shape[1]
-        self.table = _position_table(self.M, self.N)
-        self.order = self.table.bins[0]
-        self.inv_weight_sum = np.repeat(1.0 / self.weight_sum, 2 * len(self.order)).reshape(F, -1)
 
 
 @dataclass(frozen=True)
@@ -160,13 +151,21 @@ def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> Mode
         tiles, shape=(tiles.size - (half - 1) * 2 * N - N + 1, half, N),
         strides=(step, 2 * N * step, step), writeable=False,
     )
+    residual = np.fft.fft2(values * w)[:, :half].copy()
+    table = _position_table(M, N)
     return ModelState(
-        weighted_residual_spectrum=np.fft.fft2(values * w)[:, :half].copy(),
+        weighted_residual_spectrum=residual,
         weight_slabs=slabs,
         tile_offsets=np.arange(len(w)) * (3 * M * N),
         weight_sum=weight_sum,
         M=M,
         N=N,
+        residual_rows=residual.reshape(len(w), -1),
+        residual_flat=residual.reshape(-1),
+        row_starts=np.arange(len(w)) * (half * N),
+        table=table,
+        order=table.bins[0],
+        inv_weight_sum=np.repeat(1.0 / weight_sum, 2 * table.bins.shape[1]).reshape(len(w), -1),
     )
 
 
@@ -282,6 +281,19 @@ def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float
     return patch
 
 
+def _set_up(
+    ctx: BlockContext, params: FsrParams, prior: PriorKind, bins: NDArray[np.intp]
+) -> tuple[WeightMap, NDArray[np.bool_], NDArray[np.float64]]:
+    """The one check of ``prior``; then, for every window of ``ctx`` (a stack
+    of F, or one window as F = 1), the weight map, the no-data mask
+    (``_no_data``) and the prior weights (F, len(bins)) at ``bins``.
+    """
+    check_kind("prior", prior, PriorKind, "a PriorKind")
+    wm = build_weight_map(ctx, params)
+    alphas = prior_alphas(prior, effective_density(ctx, wm, params), params)
+    return wm, _no_data(wm.weight_sum), build_prior_map(ctx.M, ctx.N, alphas, bins)
+
+
 def _reconstruct_blocks(
     ctx: BlockContext,
     params: FsrParams,
@@ -292,31 +304,28 @@ def _reconstruct_blocks(
     """Center patches (F, B, B) of a stack of independent windows, and whether
     each window took the fallback (F,).
 
-    Weights, omegas and priors are built once for the stack.  A window
-    without usable data (``_no_data``) takes the fallback: its unknown
-    pixels get its fallback value.  The others run through the kernel as
-    one stack, whose peak allocation is about 148 kB per 32x32 window.
+    ``_set_up`` builds the weights, the no-data mask and the prior weights
+    once for the stack.  Every window starts at its fallback value, which a
+    window without usable data keeps for its unknown pixels.  The others
+    run through the kernel as one stack, whose peak allocation is about
+    148 kB per 32x32 window, and take its models.
     """
-    wm = build_weight_map(ctx, params)
-    omega = effective_density(ctx, wm, params)
-    fallback = _no_data(wm.weight_sum)
-    g = np.empty(ctx.values.shape)
-    g[fallback] = fallback_values[fallback, None, None]
-    idx = np.flatnonzero(~fallback)
+    wm, no_data, prior_weights = _set_up(ctx, params, prior, _position_table(ctx.M, ctx.N).bins[0])
+    g = np.repeat(fallback_values, ctx.M * ctx.N).reshape(ctx.values.shape)
+    idx = np.flatnonzero(~no_data)
     if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
-        alphas = prior_alphas(prior, omega[idx], params)
-        prior_weights = build_prior_map(ctx.M, ctx.N, alphas, state.order)
+        prior_weights = prior_weights[idx]
         for _ in range(params.iterations):
             q = projection_coefficients(state)
             j = select_basis(q, prior_weights)
-            if traces is not None:
-                u, v = np.divmod(state.order[j], state.N)
-                for i, uv in zip(idx, zip(u.tolist(), v.tolist())):
-                    traces[i].append(uv)
             update_model(state, j, params)
+        if traces is not None:
+            u, v = np.divmod(state.order[np.array([j for j, _ in state.updates])].T, ctx.N)
+            for i, uu, vv in zip(idx, u.tolist(), v.tolist()):
+                traces[i].extend(zip(uu, vv))
         g[idx] = synthesize_model(state)
-    return _center_patch(ctx, g), fallback
+    return _center_patch(ctx, g), no_data
 
 
 def reconstruct_block(
@@ -332,7 +341,6 @@ def reconstruct_block(
     window without usable data fills its unknown center pixels with
     ``fallback_value``.
     """
-    check_kind("prior", prior, PriorKind, "a PriorKind")
     stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
     patches, fallback = _reconstruct_blocks(
@@ -362,18 +370,14 @@ def reconstruct_block_reference(
     Keeps the residual and model as pixel arrays, evaluates projections
     and the selection objective by direct sums over the window, and
     updates the residual per basis function.  Serves as the oracle for
-    the fast path; O(iterations * (M*N)^2).
+    the fast path; O(iterations * (M*N)^2).  Weights, no-data mask and
+    prior weights come from ``_set_up``, as on the fast path, at every bin.
     """
-    check_kind("prior", prior, PriorKind, "a PriorKind")
-    wm = build_weight_map(ctx, params)
-    if _no_data(wm.weight_sum):
+    M, N = ctx.M, ctx.N
+    wm, no_data, prior_weights = _set_up(ctx, params, prior, np.arange(M * N))
+    if no_data:
         return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
-    M, N = ctx.M, ctx.N
-    omega = effective_density(ctx, wm, params)
-    prior_weights = build_prior_map(
-        M, N, prior_alphas(prior, np.array([omega]), params), np.arange(M * N)
-    )
     w = wm.w
     E_M = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
     E_N = _dft_exponentials(N)
@@ -425,7 +429,6 @@ def reconstruct_image(
     ``prior`` is the rule for each window's prior exponent alpha (see
     ``priors``).
     """
-    check_kind("prior", prior, PriorKind, "a PriorKind")
     known_values = check_inputs(image, mask)
     H, W = image.height, image.width
     B, b = params.block_size, params.border

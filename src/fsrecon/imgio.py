@@ -9,18 +9,20 @@ import numpy as np
 
 from .grid import ImageGrid, SamplingMask
 
-def _read_pnm_header(data: bytes, magic: bytes, n_fields: int) -> tuple[list[int], int]:
+def _read_pnm_header(
+    path: str | Path, data: bytes, magic: bytes, n_fields: int
+) -> tuple[list[int], int]:
+    """The ``n_fields`` header numbers after ``magic`` and the offset of the pixel data.
+
+    Each number follows at least one whitespace byte or comment, and one
+    whitespace byte ends the header.
+    """
     if not data.startswith(magic):
-        raise ValueError(f"not a {magic.decode()} file")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < n_fields:
-        m = re.match(rb"(?:\s+|#[^\n]*\n)*(\d+)", data[pos:])
-        if m is None:
-            raise ValueError("truncated PNM header")
-        fields.append(int(m.group(1)))
-        pos += m.end()
-    return fields, pos + 1  # single whitespace after the last header field
+        raise ValueError(f"{path}: not a {magic.decode()} file")
+    m = re.match(magic + rb"(?:\s|#[^\n]*\n)+(\d+)" * n_fields + rb"\s", data)
+    if m is None:
+        raise ValueError(f"{path}: truncated or malformed PNM header")
+    return [int(f) for f in m.groups()], m.end()
 
 
 def _read_payload(path: str | Path, data: bytes, pos: int, nbytes: int) -> np.ndarray:
@@ -41,9 +43,11 @@ def read_image(path: str | Path) -> ImageGrid:
     if path.suffix.lower() != ".pgm":
         raise ValueError(f"cannot read {path}: only PGM images (.pgm) are read")
     data = path.read_bytes()
-    (width, height, maxval), pos = _read_pnm_header(data, b"P5", 3)
+    (width, height, maxval), pos = _read_pnm_header(path, data, b"P5", 3)
     if not 0 < maxval <= 255:
-        raise ValueError(f"unsupported maxval {maxval}: only 8-bit PGM (maxval 1..255) is read")
+        raise ValueError(
+            f"{path}: unsupported maxval {maxval}: only 8-bit PGM (maxval 1..255) is read"
+        )
     raw = _read_payload(path, data, pos, width * height)
     if raw.max(initial=0) > maxval:
         raise ValueError(f"{path}: sample {raw.max()} exceeds maxval {maxval}")
@@ -58,7 +62,7 @@ def write_pgm(path: str | Path, image: ImageGrid) -> None:
 
 def read_pbm(path: str | Path) -> SamplingMask:
     data = Path(path).read_bytes()
-    (width, height), pos = _read_pnm_header(data, b"P4", 2)
+    (width, height), pos = _read_pnm_header(path, data, b"P4", 2)
     row_bytes = (width + 7) // 8
     raw = _read_payload(path, data, pos, row_bytes * height)
     bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]

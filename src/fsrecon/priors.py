@@ -59,11 +59,11 @@ def alpha_of_omega(omega: float, params: FsrParams) -> float:
 
 
 def prior_alphas(kind: PriorKind, omega: NDArray[np.float64], params: FsrParams) -> list[float]:
-    """The exponent alpha of each window with effective density ``omega`` (F,)."""
+    """The exponent alpha of each window with effective density ``omega``, (F,) or scalar."""
     if kind == PriorKind.ADAPTIVE:
         # math.log per window: np.log flips last bits
-        return [alpha_of_omega(o, params) for o in omega.tolist()]
-    return [1.0 if kind == PriorKind.OTF else 0.0] * len(omega)
+        return [alpha_of_omega(o, params) for o in np.ravel(omega).tolist()]
+    return [1.0 if kind == PriorKind.OTF else 0.0] * np.size(omega)
 
 
 def build_prior_map(

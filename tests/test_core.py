@@ -517,22 +517,31 @@ class TestReconstructImage:
         assert res.image.samples[5, 5] == 200.0
 
 
+def all_b_ctx(M=8):
+    """A window without a known sample: every path takes the fallback."""
+    labels = np.full((M, M), AreaLabel.B, dtype=np.uint8)
+    return BlockContext(block_size=M // 2, border=M // 4, labels=labels, values=np.zeros((M, M)))
+
+
 @pytest.mark.parametrize("prior", ["adaptive", "otf"])
 def test_entries_reject_a_mistyped_prior(prior):
-    # a string would otherwise fall through to alpha = 0, the flat prior
+    # a string would otherwise fall through to alpha = 0, the flat prior;
+    # the all-unknown cases check it even where every window falls back
     message = re.escape(f"prior must be a PriorKind, got {prior!r}")
     img = ImageGrid(np.full((8, 8), 100.0))
-    mask = SamplingMask(np.ones((8, 8), dtype=bool))
-    with pytest.raises(ValueError, match=message):
-        reconstruct_image(img, mask, FsrParams(iterations=1), prior)
-    ctx = random_ctx(np.random.default_rng(45), M=8)
-    with pytest.raises(ValueError, match=message):
-        reconstruct_block_reference(ctx, FsrParams(iterations=1), prior=prior)
+    for flags in (np.ones((8, 8), dtype=bool), np.zeros((8, 8), dtype=bool)):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_image(img, SamplingMask(flags), FsrParams(iterations=1), prior)
+    for ctx in (random_ctx(np.random.default_rng(45), M=8), all_b_ctx()):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_block_reference(ctx, FsrParams(iterations=1), prior=prior)
 
 
 @pytest.mark.parametrize("prior", ["adaptive", "otf"])
 def test_reconstruct_block_rejects_a_mistyped_prior(prior):
     # prior_alphas reads any string as alpha = 0, the flat prior
-    ctx = random_ctx(np.random.default_rng(46), M=8)
-    with pytest.raises(ValueError, match=re.escape(f"prior must be a PriorKind, got {prior!r}")):
-        reconstruct_block(ctx, FsrParams(iterations=1, block_size=4, border=2), prior=prior)
+    message = re.escape(f"prior must be a PriorKind, got {prior!r}")
+    params = FsrParams(iterations=1, block_size=4, border=2)
+    for ctx in (random_ctx(np.random.default_rng(46), M=8), all_b_ctx()):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_block(ctx, params, prior=prior)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,38 @@ def test_pbm_truncated_payload(tmp_path):
     path.write_bytes(b"P4\n12 3\n" + bytes(4))  # 2 bytes per row
     with pytest.raises(ValueError, match=r"short\.pbm: .*expected 6 bytes, got 4"):
         read_pbm(path)
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("glued.pgm", b"P51 1 255\n" + bytes(1)),  # no separator before the width
+        ("glued.pbm", b"P41 1\n" + bytes(1)),
+        ("unended.pgm", b"P5 2 1 255" + bytes([5, 6])),  # no whitespace ends the header
+        ("unended.pbm", b"P4 8 1" + bytes([5])),
+    ],
+    ids=["glued-pgm", "glued-pbm", "unended-pgm", "unended-pbm"],
+)
+def test_header_needs_its_separators(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    read = read_image if name.endswith(".pgm") else read_pbm
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated or malformed PNM header")):
+        read(path)
+
+
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("wrong.pbm", b"P5\n1 1\n255\n" + bytes(1), "not a P4 file"),
+        ("wrong.pgm", b"P4\n1 1\n" + bytes(1), "not a P5 file"),
+        ("cut.pgm", b"P5\n4 4", "truncated or malformed PNM header"),
+    ],
+    ids=["pgm-as-pbm", "pbm-as-pgm", "cut-header"],
+)
+def test_header_errors_name_the_file(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    read = read_image if name.endswith(".pgm") else read_pbm
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read(path)

@@ -21,3 +21,15 @@ def test_two_trees_report_every_case(capsys, monkeypatch):
     assert all("x, won " in line for line in kernel + images)
     assert [line.split()[1] for line in images] == ["12x8", "12x8", "8x12", "8x12"]
     assert all(line.endswith("outputs equal") for line in images)
+
+
+def test_differing_outputs_exit_1(capsys, monkeypatch):
+    # each tree is imported under its own module name, so its output names its tree
+    monkeypatch.setattr(kernel_bench, "IMAGE_SIDES", (12, 8))
+    monkeypatch.setattr(
+        kernel_bench, "time_image", lambda tree, *args: (1.0, tree.core.__name__.encode())
+    )
+    src = str(ROOT / "src")
+    assert kernel_bench.main([src, src, "--repeats", "1", "--image-repeats", "1"]) == 1
+    images = [line for line in capsys.readouterr().out.splitlines() if line.startswith("image")]
+    assert len(images) == 4 and all(line.endswith("OUTPUTS DIFFER") for line in images)

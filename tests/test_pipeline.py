@@ -496,6 +496,16 @@ class TestCli:
         assert err.startswith("error: ")
         assert "truncated pixel data" in err
 
+    def test_reconstruct_mask_of_the_wrong_kind_names_the_file(self, test_image, tmp_path, capsys):
+        mask = tmp_path / "b.pbm"
+        mask.write_bytes(b"P5\n2 2\n255\n" + bytes(4))  # a PGM under a .pbm name
+        out = tmp_path / "out.pgm"
+        rc = cli_main(["reconstruct", "--input", test_image, "--mask", str(mask),
+                       "--method", "nn", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {mask}: not a P4 file\n"
+
     def test_reconstruct_png_input_exits_with_message(self, tmp_path, capsys):
         png = tmp_path / "x.png"
         png.write_bytes(b"\x89PNG\r\n\x1a\n")
