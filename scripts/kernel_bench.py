@@ -62,13 +62,11 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
 
 def kernel_case(tree, labels: np.ndarray, values: np.ndarray):
     """A fresh model state of the stack and its prior weights."""
-    params = tree.weighting.FsrParams()
+    core, params = tree.core, tree.weighting.FsrParams()
     ctx = tree.grid.BlockContext(params.block_size, params.border, labels, values)
-    wm = tree.weighting.build_weight_map(ctx, params)
-    omega = tree.weighting.effective_density(ctx, wm, params)
-    state = tree.core.init_model_state(ctx.values, wm)
-    alphas = tree.priors.prior_alphas(tree.priors.PriorKind.ADAPTIVE, omega, params)
-    return params, state, tree.priors.build_prior_map(ctx.M, ctx.N, alphas, state.order)
+    state = core.init_model_state(ctx.values, tree.weighting.build_weight_map(ctx, params))
+    _, _, prior_weights = core._set_up(ctx, params, tree.priors.PriorKind.ADAPTIVE, state.order)
+    return params, state, prior_weights
 
 
 def time_kernel(tree, labels: np.ndarray, values: np.ndarray) -> float:

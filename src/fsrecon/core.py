@@ -36,18 +36,18 @@ class ModelState:
 
     The weighted residual spectrum is kept for rows 0..M/2 only: every bin
     of ``order`` lies there, and the rest follows by Hermitian
-    symmetry.  Each window's weight spectrum is tiled into a (3M/2, 2N)
+    symmetry.  Each window's weight spectrum is tiled into a (3M/2, 2M)
     tile, two copies side by side and the first M/2 rows of both again
     below, so the spectrum shifted by any bin (u, v), restricted to rows
-    0..M/2, is a plain (M/2+1, N) slab of the tile.  ``weight_slabs[o]`` is
+    0..M/2, is a plain (M/2+1, M) slab of the tile.  ``weight_slabs[o]`` is
     the slab that starts at flat element o of the stacked tiles; window f's
     slab for a bin starts at ``tile_offsets[f]`` plus the bin's entry of
-    ``_position_table(M, N).offsets``.  ``updates`` records, per iteration,
+    ``_position_table(M).offsets``.  ``updates`` records, per iteration,
     the selected positions and the coefficients of the bins and their
     partners; ``synthesize_model`` accumulates them into ``coef``.
 
     The other fields are what every iteration reads: views of the
-    residual as (F, (M/2+1)*N) rows and as one flat run with each row's
+    residual as (F, (M/2+1)*M) rows and as one flat run with each row's
     start, the position table and its ``order``, and ``inv_weight_sum``,
     each window's 1/weight_sum repeated over the (F, 2P) float view of the
     projections, so that their scaling multiplies operands of one shape.
@@ -58,7 +58,6 @@ class ModelState:
     tile_offsets: NDArray[np.intp]
     weight_sum: NDArray[np.float64]
     M: int
-    N: int
     residual_rows: NDArray[np.complex128]
     residual_flat: NDArray[np.complex128]
     row_starts: NDArray[np.intp]
@@ -87,31 +86,31 @@ class _PositionTable(NamedTuple):
     Axis 0 of ``offsets`` and ``bins`` is (bin, conjugate partner).
     """
 
-    offsets: NDArray[np.intp]  # (2, P) slab starts in a window's (3M/2, 2N) weight tile
+    offsets: NDArray[np.intp]  # (2, P) slab starts in a window's (3M/2, 2M) weight tile
     bins: NDArray[np.intp]  # (2, P) flat bin indices into the full spectrum
     self_conjugate: NDArray[np.bool_]  # (P,)
 
 
 @lru_cache(maxsize=8)
-def _position_table(M: int, N: int) -> _PositionTable:
-    """Slab offsets, bins and self-conjugacy of each position.
+def _position_table(M: int) -> _PositionTable:
+    """Slab offsets, bins and self-conjugacy of each position of an M x M window.
 
     The slab of bin (u, v) starts at tile row (M - u) % M and column
-    (N - v) % N, so that its element (k, l) is W[(k - u) % M, (l - v) % N].
-    Both starts are below M and N, so the slab's last row, at most
-    M - 1 + M/2, and last column, at most 2N - 2, lie inside the (3M/2, 2N)
-    tile; a taller tile would hold rows that no slab reads.
+    (M - v) % M, so that its element (k, l) is W[(k - u) % M, (l - v) % M].
+    Both starts are below M, so the slab's last row, at most M - 1 + M/2,
+    and last column, at most 2M - 2, lie inside the (3M/2, 2M) tile; a
+    taller tile would hold rows that no slab reads.
     """
-    kk, ll = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    ck, cl = (M - kk) % M, (N - ll) % N
+    kk, ll = np.indices((M, M))
+    ck, cl = (M - kk) % M, (M - ll) % M
     canonical = (kk < ck) | ((kk == ck) & (ll <= cl))
-    radius = folded_radius_sq(kk, ll, M, N)
+    radius = folded_radius_sq(kk, ll, M)
     order = np.lexsort((ll.ravel(), kk.ravel(), radius.ravel()))
-    u, v = np.divmod(order[canonical.ravel()[order]], N)
-    uu, vv = np.stack((u, (M - u) % M)), np.stack((v, (N - v) % N))
+    u, v = np.divmod(order[canonical.ravel()[order]], M)
+    uu, vv = np.stack((u, (M - u) % M)), np.stack((v, (M - v) % M))
     table = _PositionTable(
-        offsets=((M - uu) % M) * (2 * N) + (N - vv) % N,
-        bins=uu * N + vv,
+        offsets=((M - uu) % M) * (2 * M) + (M - vv) % M,
+        bins=uu * M + vv,
         self_conjugate=(uu[1] == u) & (vv[1] == v),
     )
     for a in table:
@@ -133,36 +132,35 @@ def _no_data(weight_sum: NDArray[np.float64]) -> NDArray[np.bool_]:
 
 
 def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> ModelState:
-    """Initial state of a stack of windows, (F, M, N); an (M, N) window is a stack of one.
+    """Initial state of a stack of windows, (F, M, M); an (M, M) window is a stack of one.
 
     Rejects a window that holds no usable data (see ``_no_data``).
     """
-    M, N = values.shape[-2:]
-    values, w = values.reshape(-1, M, N), weight_map.w.reshape(-1, M, N)
+    M = values.shape[-1]
+    values, w = values.reshape(-1, M, M), weight_map.w.reshape(-1, M, M)
     weight_sum = np.reshape(weight_map.weight_sum, -1)
     if _no_data(weight_sum).any():
         raise ValueError("weight sum has no finite reciprocal; the window holds no usable data")
-    tiles = np.empty((len(w), 3 * M // 2, 2, N), dtype=np.complex128)  # (F, 3M/2, 2N)
+    tiles = np.empty((len(w), 3 * M // 2, 2, M), dtype=np.complex128)  # (F, 3M/2, 2M)
     tiles[:, :M] = np.fft.fft2(w)[:, :, None]
     tiles[:, M:] = tiles[:, : M // 2]
     half, step = M // 2 + 1, tiles.strides[-1]
     # every slab start a window's offsets can name, and no element beyond the tiles
     slabs = as_strided(
-        tiles, shape=(tiles.size - (half - 1) * 2 * N - N + 1, half, N),
-        strides=(step, 2 * N * step, step), writeable=False,
+        tiles, shape=(tiles.size - (half - 1) * 2 * M - M + 1, half, M),
+        strides=(step, 2 * M * step, step), writeable=False,
     )
     residual = np.fft.fft2(values * w)[:, :half].copy()
-    table = _position_table(M, N)
+    table = _position_table(M)
     return ModelState(
         weighted_residual_spectrum=residual,
         weight_slabs=slabs,
-        tile_offsets=np.arange(len(w)) * (3 * M * N),
+        tile_offsets=np.arange(len(w)) * (3 * M * M),
         weight_sum=weight_sum,
         M=M,
-        N=N,
         residual_rows=residual.reshape(len(w), -1),
         residual_flat=residual.reshape(-1),
-        row_starts=np.arange(len(w)) * (half * N),
+        row_starts=np.arange(len(w)) * (half * M),
         table=table,
         order=table.bins[0],
         inv_weight_sum=np.repeat(1.0 / weight_sum, 2 * table.bins.shape[1]).reshape(len(w), -1),
@@ -212,8 +210,8 @@ def _selection_objective(
     return obj
 
 
-def _is_self_conjugate(u: int, v: int, M: int, N: int) -> bool:
-    return (2 * u) % M == 0 and (2 * v) % N == 0
+def _is_self_conjugate(u: int, v: int, M: int) -> bool:
+    return (2 * u) % M == 0 and (2 * v) % M == 0
 
 
 def update_model(state: ModelState, j: NDArray[np.intp], params: FsrParams) -> ModelState:
@@ -232,14 +230,14 @@ def update_model(state: ModelState, j: NDArray[np.intp], params: FsrParams) -> M
     c, partner = cc[:F], cc[F:]
     np.multiply(params.gamma, p_uv, out=c)
     np.conj(c, out=partner)
-    # only 4 of the M*N/2+2 positions, but often selected: DC above all
+    # only 4 of the M*M/2+2 positions, but often selected: DC above all
     self_conj = state.table.self_conjugate.take(j)
     c.imag[self_conj] = 0.0
     partner[self_conj] = 0.0
     state.updates.append((j, cc))
     offsets = state.table.offsets.take(j, axis=1)
     offsets += state.tile_offsets
-    shifted = state.weight_slabs[offsets]  # (2, F, M/2+1, N)
+    shifted = state.weight_slabs[offsets]  # (2, F, M/2+1, M)
     flat = shifted.reshape(2 * F, -1)
     # coefficients first: with the operands swapped, numpy's fused complex
     # multiply gives other last bits
@@ -258,16 +256,16 @@ def synthesize_model(state: ModelState) -> NDArray[np.float64]:
     iteration order, bins before partners, sums every coefficient in the
     order of one accumulation per iteration, from +0.
     """
-    F, M, N = len(state.weight_sum), state.M, state.N
+    F, M = len(state.weight_sum), state.M
     j = np.array([j for j, _ in state.updates])  # (iterations, F)
     cc = np.array([cc for _, cc in state.updates])  # (iterations, 2F)
     bins = state.table.bins[:, j].transpose(1, 0, 2)  # (iterations, 2, F)
-    at = (bins + np.arange(F) * (M * N)).ravel()
-    coef = np.empty((F, M, N), dtype=np.complex128)
-    coef.real = np.bincount(at, cc.real.ravel(), F * M * N).reshape(F, M, N)
-    coef.imag = np.bincount(at, cc.imag.ravel(), F * M * N).reshape(F, M, N)
+    at = (bins + np.arange(F) * (M * M)).ravel()
+    coef = np.empty((F, M, M), dtype=np.complex128)
+    coef.real = np.bincount(at, cc.real.ravel(), F * M * M).reshape(F, M, M)
+    coef.imag = np.bincount(at, cc.imag.ravel(), F * M * M).reshape(F, M, M)
     state.coef = coef
-    g = np.fft.ifft2(coef) * (M * N)
+    g = np.fft.ifft2(coef) * (M * M)
     return g.real
 
 
@@ -291,7 +289,7 @@ def _set_up(
     check_kind("prior", prior, PriorKind, "a PriorKind")
     wm = build_weight_map(ctx, params)
     alphas = prior_alphas(prior, effective_density(ctx, wm, params), params)
-    return wm, _no_data(wm.weight_sum), build_prior_map(ctx.M, ctx.N, alphas, bins)
+    return wm, _no_data(wm.weight_sum), build_prior_map(ctx.M, alphas, bins)
 
 
 def _reconstruct_blocks(
@@ -310,8 +308,8 @@ def _reconstruct_blocks(
     run through the kernel as one stack, whose peak allocation is about
     148 kB per 32x32 window, and take its models.
     """
-    wm, no_data, prior_weights = _set_up(ctx, params, prior, _position_table(ctx.M, ctx.N).bins[0])
-    g = np.repeat(fallback_values, ctx.M * ctx.N).reshape(ctx.values.shape)
+    wm, no_data, prior_weights = _set_up(ctx, params, prior, _position_table(ctx.M).bins[0])
+    g = np.repeat(fallback_values, ctx.M * ctx.M).reshape(ctx.values.shape)
     idx = np.flatnonzero(~no_data)
     if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
@@ -321,7 +319,7 @@ def _reconstruct_blocks(
             j = select_basis(q, prior_weights)
             update_model(state, j, params)
         if traces is not None:
-            u, v = np.divmod(state.order[np.array([j for j, _ in state.updates])].T, ctx.N)
+            u, v = np.divmod(state.order[np.array([j for j, _ in state.updates])].T, ctx.M)
             for i, uu, vv in zip(idx, u.tolist(), v.tolist()):
                 traces[i].extend(zip(uu, vv))
         g[idx] = synthesize_model(state)
@@ -339,8 +337,10 @@ def reconstruct_block(
 
     Returns the B x B patch and whether the window took the fallback: a
     window without usable data fills its unknown center pixels with
-    ``fallback_value``.
+    ``fallback_value``, which must be finite.
     """
+    if not np.isfinite(fallback_value):
+        raise ValueError(f"fallback_value must be finite, got {fallback_value}")
     stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
     patches, fallback = _reconstruct_blocks(
@@ -370,35 +370,37 @@ def reconstruct_block_reference(
     Keeps the residual and model as pixel arrays, evaluates projections
     and the selection objective by direct sums over the window, and
     updates the residual per basis function.  Serves as the oracle for
-    the fast path; O(iterations * (M*N)^2).  Weights, no-data mask and
-    prior weights come from ``_set_up``, as on the fast path, at every bin.
+    the fast path; O(iterations * M^4).  Weights, no-data mask and prior
+    weights come from ``_set_up``, as on the fast path, at every bin.
+    ``fallback_value`` must be finite, as for ``reconstruct_block``.
     """
-    M, N = ctx.M, ctx.N
-    wm, no_data, prior_weights = _set_up(ctx, params, prior, np.arange(M * N))
+    if not np.isfinite(fallback_value):
+        raise ValueError(f"fallback_value must be finite, got {fallback_value}")
+    M = ctx.M
+    wm, no_data, prior_weights = _set_up(ctx, params, prior, np.arange(M * M))
     if no_data:
         return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
 
     w = wm.w
-    E_M = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
-    E_N = _dft_exponentials(N)
+    E = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
     # per-frequency denominator of the projection, evaluated literally
-    denom = (np.abs(E_M) ** 2).T @ w @ (np.abs(E_N) ** 2)
+    denom = (np.abs(E) ** 2).T @ w @ (np.abs(E) ** 2)
 
     r = ctx.values.copy()
-    g = np.zeros((M, N))
-    order = _position_table(M, N).bins[0]
+    g = np.zeros((M, M))
+    order = _position_table(M).bins[0]
     for _ in range(params.iterations):
-        num = E_M.conj().T @ (r * w) @ E_N.conj()
+        num = E.conj().T @ (r * w) @ E.conj()
         p = num / denom
-        obj = (p.real**2 + p.imag**2) * prior_weights.reshape(M, N) * denom
+        obj = (p.real**2 + p.imag**2) * prior_weights.reshape(M, M) * denom
         flat = obj.ravel()[order]
         idx = order[int(np.argmax(flat))]
-        u, v = int(idx // N), int(idx % N)
+        u, v = int(idx // M), int(idx % M)
         if selection_trace is not None:
             selection_trace.append((u, v))
         c = params.gamma * p[u, v]
-        phi = np.outer(E_M[:, u], E_N[:, v])
-        if _is_self_conjugate(u, v, M, N):
+        phi = np.outer(E[:, u], E[:, v])
+        if _is_self_conjugate(u, v, M):
             upd = c.real * phi.real
         else:
             upd = 2.0 * (c * phi).real

@@ -6,7 +6,7 @@ samples (A), unknown samples (B), samples reconstructed by previously
 processed blocks (R), and positions beyond the image bounds (OUTSIDE).
 The image under reconstruction is held as a label plane and a value plane,
 padded with OUTSIDE so that every window is a plain slice of both; the
-windows of a wavefront are gathered from them as one (F, M, N) stack.
+windows of a wavefront are gathered from them as one (F, M, M) stack.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ class SamplingMask:
 
 @dataclass(frozen=True)
 class BlockContext:
-    """Extrapolation areas: M x N windows around the blocks to rebuild.
+    """Extrapolation areas: M x M windows around the blocks to rebuild.
 
-    ``labels`` and ``values`` are one (M, N) window or a stack of them
-    with leading axes; M and N are the last two.  The center block starts
+    ``labels`` and ``values`` are one (M, M) window or a stack of them
+    with leading axes, M = block_size + 2*border.  The center block starts
     at window position ``(border, border)``; positions outside the image
-    carry the OUTSIDE label.  ``values`` is zero wherever the label is B or
-    OUTSIDE.
+    carry the OUTSIDE label.  ``values`` is finite, and zero wherever the
+    label is B or OUTSIDE.
     """
 
     block_size: int
@@ -94,21 +94,19 @@ class BlockContext:
     values: NDArray[np.float64] = field(repr=False)
 
     def __post_init__(self):
-        M, N = self.labels.shape[-2:]
+        M = self.block_size + 2 * self.border
         if self.values.shape != self.labels.shape:
             raise ValueError("labels and values shapes differ")
-        if M != self.block_size + 2 * self.border or M != N:
+        if self.labels.shape[-2:] != (M, M):
             raise ValueError("window must be square with M = block_size + 2*border")
         dead = (self.labels == AreaLabel.B.value) | (self.labels == AreaLabel.OUTSIDE.value)
         if np.any(dead & (self.values != 0.0)):  # NaN != 0.0, so NaN is rejected too
             raise ValueError("values must be zero on B/OUTSIDE positions")
+        if not np.isfinite(self.values).all():  # what is left lies on A or R
+            raise ValueError("values must be finite")
 
     @property
     def M(self) -> int:
-        return self.labels.shape[-2]
-
-    @property
-    def N(self) -> int:
         return self.labels.shape[-1]
 
 
@@ -152,13 +150,20 @@ def pad_planes(
     Both are padded with OUTSIDE and zero, by ``border`` on every side and
     further to whole blocks at the bottom and right, so the window of every
     block is a slice.  Image pixel (r, c) sits at plane position
-    (r + border, c + border).
+    (r + border, c + border).  Planes that numpy cannot allocate raise a
+    ValueError naming ``block_size``, ``border`` and the planned shape.
     """
     H, W = image.height, image.width
     shape = (-(-H // block_size) * block_size + 2 * border,
              -(-W // block_size) * block_size + 2 * border)
-    labels = np.full(shape, AreaLabel.OUTSIDE, dtype=np.uint8)
-    values = np.zeros(shape)
+    try:
+        labels = np.full(shape, AreaLabel.OUTSIDE, dtype=np.uint8)
+        values = np.zeros(shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+        raise ValueError(
+            f"cannot allocate padded planes of shape {shape} for block_size {block_size}"
+            f" and border {border}: {exc}"
+        ) from None
     inside = np.s_[border : border + H, border : border + W]
     labels[inside] = np.where(mask.flags, AreaLabel.A, AreaLabel.B)
     values[inside] = np.where(mask.flags, image.samples, 0.0)
@@ -174,7 +179,7 @@ def build_block_context(
 ) -> BlockContext:
     """The extrapolation areas of the blocks at image positions ``origins``.
 
-    One ``(r0, c0)`` pair gives one (M, N) window, an (F, 2) array a stack
+    One ``(r0, c0)`` pair gives one (M, M) window, an (F, 2) array a stack
     of F.  ``labels`` and ``values`` are ``sliding_window_view``s of planes
     from ``pad_planes`` in which the pixels of earlier blocks may be
     relabelled R; values at B positions, such as fallback fills, read as

@@ -1,7 +1,8 @@
 """Frequency priors steering the greedy basis selection.
 
 The prior at bin (k, l) is base ** (2*alpha), with base = 1 - sqrt(2) *
-sqrt(kt^2/M^2 + lt^2/N^2) clamped at 0 on the folded frequencies kt, lt.
+sqrt(kt^2/M^2 + lt^2/M^2) clamped at 0 on the folded frequencies kt, lt
+of the M x M window.
 Each kind of prior is a rule for a window's exponent alpha.  The adaptive
 prior derives alpha from the effective data density of the window: dense
 data flattens the prior, sparse data sharpens it towards low-pass.  The
@@ -34,14 +35,15 @@ class PriorKind(Enum):
     NONE = "none"
 
 
-def folded_radius_sq(k, l, M: int, N: int):
-    """Squared folded radial frequency kt^2/M^2 + lt^2/N^2 of bin (k, l).
+def folded_radius_sq(k, l, M: int):
+    """Squared folded radial frequency kt^2/M^2 + lt^2/M^2 of bin (k, l).
 
-    Takes scalars or broadcastable index arrays.
+    Takes scalars or broadcastable index arrays.  Two terms, not
+    (kt^2 + lt^2)/M^2, which rounds differently.
     """
     kt = M / 2.0 - abs(k - M / 2.0)
-    lt = N / 2.0 - abs(l - N / 2.0)
-    return kt**2 / M**2 + lt**2 / N**2
+    lt = M / 2.0 - abs(l - M / 2.0)
+    return kt**2 / M**2 + lt**2 / M**2
 
 
 def alpha_of_omega(omega: float, params: FsrParams) -> float:
@@ -66,16 +68,14 @@ def prior_alphas(kind: PriorKind, omega: NDArray[np.float64], params: FsrParams)
     return [1.0 if kind == PriorKind.OTF else 0.0] * np.size(omega)
 
 
-def build_prior_map(
-    M: int, N: int, alphas: list[float], bins: NDArray[np.intp]
-) -> NDArray[np.float64]:
+def build_prior_map(M: int, alphas: list[float], bins: NDArray[np.intp]) -> NDArray[np.float64]:
     """Selection weights (F, P), base ** (2*alpha) for each of the F ``alphas``,
-    at the flat indices ``bins`` (P,) of the M x N frequency plane.
+    at the flat indices ``bins`` (P,) of the M x M frequency plane.
     """
-    if M % 2 != 0 or N % 2 != 0:
-        raise ValueError("frequency plane dimensions must be even")
-    k, l = np.divmod(bins, N)
-    base = np.maximum(0.0, 1.0 - math.sqrt(2.0) * np.sqrt(folded_radius_sq(k, l, M, N)))
+    if M % 2 != 0:
+        raise ValueError("frequency plane side must be even")
+    k, l = np.divmod(bins, M)
+    base = np.maximum(0.0, 1.0 - math.sqrt(2.0) * np.sqrt(folded_radius_sq(k, l, M)))
     # a scalar exponent per row: a vector exponent flips last bits.  pow(x, 0)
     # == 1 for every x, so alpha = 0 gives the flat prior, 0**0 included
     rows = [base ** (2.0 * alpha) for alpha in alphas]

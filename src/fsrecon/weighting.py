@@ -74,18 +74,17 @@ class WeightMap:
 
 
 @lru_cache(maxsize=16)
-def decay_map(M: int, N: int, rho_hat: float) -> NDArray[np.float64]:
-    """Undamped decay rho_hat ** d over the full window, d the distance to its center."""
+def decay_map(M: int, rho_hat: float) -> NDArray[np.float64]:
+    """Undamped decay rho_hat ** d over the full M x M window, d the distance to its center."""
     m = np.arange(M, dtype=np.float64) - (M - 1) / 2.0
-    n = np.arange(N, dtype=np.float64) - (N - 1) / 2.0
-    decay = rho_hat ** np.sqrt(m[:, None] ** 2 + n[None, :] ** 2)
+    decay = rho_hat ** np.sqrt(m[:, None] ** 2 + m[None, :] ** 2)
     decay.flags.writeable = False
     return decay
 
 
 def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:
     """rho^d on A, delta*rho^d on R, else 0, for each window of ``ctx``."""
-    decay = decay_map(ctx.M, ctx.N, params.rho_hat)
+    decay = decay_map(ctx.M, params.rho_hat)
     w = np.where(ctx.labels == AreaLabel.A.value, decay, 0.0)
     w += np.where(ctx.labels == AreaLabel.R.value, params.delta * decay, 0.0)
     return WeightMap(w=w, weight_sum=np.sum(w, axis=(-2, -1)))
@@ -99,4 +98,4 @@ def effective_density(
     Ratio of the summed weights on A and R to the undamped decay mass over
     the whole window (including B and OUTSIDE positions).
     """
-    return weight_map.weight_sum / np.sum(decay_map(ctx.M, ctx.N, params.rho_hat))
+    return weight_map.weight_sum / np.sum(decay_map(ctx.M, params.rho_hat))

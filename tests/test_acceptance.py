@@ -66,7 +66,7 @@ def mean_psnr(method: str, density: float, tau: float = 2.0) -> float:
 
 def prior_at(k, l, M, alpha):
     """``build_prior_map``'s weight at bin (k, l) of an M x M plane for one alpha."""
-    return build_prior_map(M, M, [alpha], np.array([k * M + l])).item()
+    return build_prior_map(M, [alpha], np.array([k * M + l])).item()
 
 
 def weight_at(m, n, label, M, params):
@@ -187,7 +187,7 @@ def test_criterion_3_invariant_suite():
         omega = effective_density(ctx, wm, p)
         ok &= 0.0 <= omega <= 1.0
         state = init_model_state(ctx.values, wm)
-        prior = build_prior_map(16, 16, [f.alpha_of_omega(omega, p)], state.order)
+        prior = build_prior_map(16, [f.alpha_of_omega(omega, p)], state.order)
         for _ in range(100):
             proj = projection_coefficients(state)
             j = select_basis(proj, prior)
@@ -206,7 +206,7 @@ def test_criterion_3_invariant_suite():
     # prior fold symmetry and axis monotonicity
     for kind in (f.PriorKind.OTF, f.PriorKind.ADAPTIVE):
         alphas = prior_alphas(kind, np.array([0.35]), f.FsrParams())
-        wf = build_prior_map(32, 32, alphas, np.arange(32 * 32)).reshape(32, 32)
+        wf = build_prior_map(32, alphas, np.arange(32 * 32)).reshape(32, 32)
         flipped = wf[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]
         ok &= bool(np.array_equal(wf, flipped))
         axis = wf[: 17, 0]

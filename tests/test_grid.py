@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,7 +103,7 @@ class TestBuildBlockContext:
         recon = ~mask.flags & (rng.random((20, 20)) < 0.3)
         ctx = _context(img, mask, (8, 8), 4, 6, recon)
         counts = sum(np.count_nonzero(ctx.labels == lab) for lab in AreaLabel)
-        assert counts == ctx.M * ctx.N
+        assert counts == ctx.M * ctx.M
 
     def test_values_come_from_the_right_buffer(self):
         # every block of a ragged 10x7 image, so windows run past the
@@ -133,7 +135,7 @@ class TestBuildBlockContext:
         for (r0, c0), ctx in zip(origins, ctxs):
             assert ctx.labels.shape == (B + 2 * b, B + 2 * b)
             for m in range(ctx.M):
-                for n in range(ctx.N):
+                for n in range(ctx.M):
                     r, c = r0 - b + m, c0 - b + n
                     if not (0 <= r < H and 0 <= c < W):
                         want = (AreaLabel.OUTSIDE, 0.0)
@@ -178,3 +180,27 @@ class TestBlockContextChecks:
         values[2, 1, 3] = value  # one position of the last window
         with pytest.raises(ValueError, match="zero on B/OUTSIDE"):
             BlockContext(4, 2, labels, values)
+
+    @pytest.mark.parametrize("label", [AreaLabel.A, AreaLabel.R])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_on_a_data_position(self, label, value):
+        # accepted, a NaN sample turns both reconstruct_block paths' patches NaN
+        labels, values = self.stack()
+        labels[2, 1, 3], values[2, 1, 3] = label, value
+        with pytest.raises(ValueError, match="values must be finite"):
+            BlockContext(4, 2, labels, values)
+
+
+@pytest.mark.parametrize(
+    "error", [MemoryError("Unable to allocate"), ValueError("Maximum allowed dimension exceeded")]
+)
+def test_planes_numpy_cannot_allocate_name_the_parameters(monkeypatch, error):
+    img, mask = _blank(6, 6), SamplingMask(np.ones((6, 6), dtype=bool))
+
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    message = re.escape("padded planes of shape (12, 12) for block_size 4 and border 2")
+    with pytest.raises(ValueError, match=message):
+        pad_planes(img, mask, 4, 2)

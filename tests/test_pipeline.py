@@ -518,6 +518,27 @@ class TestCli:
         assert err.startswith("error: ")
         assert "only PGM images" in err
 
+    def test_reconstruct_border_beyond_numpy_exits_with_message(self, test_image, tmp_path, capsys):
+        # numpy refuses planes of this shape before it allocates anything
+        out = tmp_path / "out.pgm"
+        argv = ["reconstruct", "--input", test_image, "--density", "0.5", "--method", "fsr-ap",
+                "--output", str(out), "--border", str(2**70)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate padded planes")
+        assert f"block_size 4 and border {2**70}" in err
+
+    def test_bench_border_beyond_numpy_exits_with_message(self, test_image, tmp_path, capsys):
+        cfg = {"images": [test_image], "densities": [0.5], "methods": ["fsr-ap"], "border": 2**70}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate padded planes")
+        assert f"block_size 4 and border {2**70}" in err
+
     def test_bench_png_image_logged_and_skipped(self, test_image, tmp_path, caplog):
         png = tmp_path / "x.png"
         png.write_bytes(b"\x89PNG\r\n\x1a\n")

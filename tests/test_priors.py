@@ -10,11 +10,11 @@ from fsrecon.priors import ALPHA_MAX, PriorKind, alpha_of_omega, build_prior_map
 from fsrecon.weighting import FsrParams, build_weight_map, effective_density
 
 
-def ref_prior(k, l, M, N, exponent):
+def ref_prior(k, l, M, exponent):
     # independent scalar evaluation with explicit folding
     kt = min(k % M, M - k % M)
-    lt = min(l % N, N - l % N)
-    base = 1.0 - math.sqrt(2.0) * math.sqrt((kt / M) ** 2 + (lt / N) ** 2)
+    lt = min(l % M, M - l % M)
+    base = 1.0 - math.sqrt(2.0) * math.sqrt((kt / M) ** 2 + (lt / M) ** 2)
     base = max(0.0, base)
     if exponent == 0.0:
         return 1.0
@@ -23,7 +23,7 @@ def ref_prior(k, l, M, N, exponent):
 
 def prior_at(k, l, M, alpha):
     """``build_prior_map``'s weight at bin (k, l) of an M x M plane for one alpha."""
-    return build_prior_map(M, M, [alpha], np.array([k * M + l])).item()
+    return build_prior_map(M, [alpha], np.array([k * M + l])).item()
 
 
 class TestOtfPrior:
@@ -43,7 +43,7 @@ class TestOtfPrior:
             M = 2 * int(rng.integers(2, 33))
             k, l = int(rng.integers(0, M)), int(rng.integers(0, M))
             assert prior_at(k, l, M, 1.0) == pytest.approx(
-                ref_prior(k, l, M, M, 2.0), rel=1e-12, abs=1e-15
+                ref_prior(k, l, M, 2.0), rel=1e-12, abs=1e-15
             )
 
     def test_axis_monotonicity(self):
@@ -102,7 +102,7 @@ class TestAdaptivePrior:
             k, l = int(rng.integers(0, M)), int(rng.integers(0, M))
             alpha = float(rng.uniform(0, 8))
             assert prior_at(k, l, M, alpha) == pytest.approx(
-                ref_prior(k, l, M, M, 2 * alpha), rel=1e-12, abs=1e-15
+                ref_prior(k, l, M, 2 * alpha), rel=1e-12, abs=1e-15
             )
 
     def test_larger_alpha_suppresses_more(self):
@@ -116,7 +116,7 @@ class TestAdaptivePrior:
 def full_map(kind, M, omega, params):
     """The prior of one window with effective density omega at every bin, (M, M)."""
     alphas = prior_alphas(kind, np.array([omega]), params)
-    weights = build_prior_map(M, M, alphas, np.arange(M * M))
+    weights = build_prior_map(M, alphas, np.arange(M * M))
     assert weights.shape == (1, M * M)
     return weights.reshape(M, M)
 
@@ -143,11 +143,11 @@ class TestPriorMap:
         rng = np.random.default_rng(16)
         special = [0.0, 1.0, 1e-300, 0.5, math.exp(-2.0), math.exp(-0.5)]
         omega = np.concatenate([rng.random(300), 10.0 ** rng.uniform(-40, 0, 100), special])
-        bins = _position_table(M, M).bins[0]
-        weights = build_prior_map(M, M, prior_alphas(PriorKind.ADAPTIVE, omega, p), bins)
+        bins = _position_table(M).bins[0]
+        weights = build_prior_map(M, prior_alphas(PriorKind.ADAPTIVE, omega, p), bins)
         assert weights.shape == (len(omega), len(bins))
         for row, o in zip(weights, omega):
-            want = build_prior_map(M, M, [alpha_of_omega(o, p)], bins)
+            want = build_prior_map(M, [alpha_of_omega(o, p)], bins)
             assert row.tobytes() == want.tobytes()
 
     def test_mixed_kinds_and_taus_equal_each_alpha_alone(self):
@@ -163,11 +163,11 @@ class TestPriorMap:
             for alpha in prior_alphas(kind, omega, FsrParams(tau=tau))
         ]
         alphas = [alphas[i] for i in rng.permutation(len(alphas))]
-        bins = _position_table(M, M).bins[0]
-        weights = build_prior_map(M, M, alphas, bins)
+        bins = _position_table(M).bins[0]
+        weights = build_prior_map(M, alphas, bins)
         assert weights.shape == (len(alphas), len(bins))
         for row, alpha in zip(weights, alphas):
-            assert row.tobytes() == build_prior_map(M, M, [alpha], bins).tobytes()
+            assert row.tobytes() == build_prior_map(M, [alpha], bins).tobytes()
 
     def test_none_is_all_ones(self):
         assert np.all(full_map(PriorKind.NONE, 32, 0.5, FsrParams()) == 1.0)
@@ -200,7 +200,7 @@ class TestPriorMap:
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            build_prior_map(31, 31, [1.0], np.arange(31 * 31))
+            build_prior_map(31, [1.0], np.arange(31 * 31))
 
 
 def test_alpha_map_falls_where_the_mask_is_dense():

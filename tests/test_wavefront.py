@@ -95,9 +95,9 @@ def test_set_up_runs_once_per_front(monkeypatch):
         calls.append(ctx.labels.shape)
         return build_weight_map(ctx, params)
 
-    def counting_priors(M, N, alphas, bins):
+    def counting_priors(M, alphas, bins):
         prior_calls.append(len(alphas))
-        return build_prior_map(M, N, alphas, bins)
+        return build_prior_map(M, alphas, bins)
 
     monkeypatch.setattr(core, "build_weight_map", counting)
     monkeypatch.setattr(core, "build_prior_map", counting_priors)

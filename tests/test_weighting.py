@@ -21,13 +21,13 @@ def make_ctx(labels, values=None, block_size=None, border=None):
     )
 
 
-def ref_weight(m, n, label, M, N, params):
+def ref_weight(m, n, label, M, params):
     # independent scalar evaluation of the decay formula
     import math
 
     if label in (AreaLabel.B, AreaLabel.OUTSIDE):
         return 0.0
-    d = math.hypot(m - (M - 1) / 2, n - (N - 1) / 2)
+    d = math.hypot(m - (M - 1) / 2, n - (M - 1) / 2)
     w = math.exp(d * math.log(params.rho_hat))
     return w * params.delta if label == AreaLabel.R else w
 
@@ -68,7 +68,7 @@ class TestSpatialWeight:
             label = AreaLabel(int(rng.integers(0, 4)))
             p = FsrParams(rho_hat=float(rng.uniform(0.05, 1.0)), delta=float(rng.uniform(0.05, 1.0)))
             got = weight_at(m, n, label, M, p)
-            assert got == pytest.approx(ref_weight(m, n, label, M, M, p), rel=1e-12, abs=1e-300)
+            assert got == pytest.approx(ref_weight(m, n, label, M, p), rel=1e-12, abs=1e-300)
 
     def test_radial_symmetry(self):
         p = FsrParams()
