@@ -24,6 +24,7 @@ fallback blocks are byte-equal; the script exits 1 if any of them differ.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import statistics
@@ -63,7 +64,10 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
 def kernel_case(tree, labels: np.ndarray, values: np.ndarray):
     """A fresh model state of the stack and its prior weights."""
     core, params = tree.core, tree.weighting.FsrParams()
-    ctx = tree.grid.BlockContext(params.block_size, params.border, labels, values)
+    # a tree whose windows still carry their geometry takes it first
+    fields = {f.name for f in dataclasses.fields(tree.grid.BlockContext)}
+    geometry = [params.block_size, params.border] if "border" in fields else []
+    ctx = tree.grid.BlockContext(*geometry, labels, values)
     state = core.init_model_state(ctx.values, tree.weighting.build_weight_map(ctx, params))
     _, _, prior_weights = core._set_up(ctx, params, tree.priors.PriorKind.ADAPTIVE, state.order)
     return params, state, prior_weights

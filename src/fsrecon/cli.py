@@ -16,6 +16,7 @@ from .weighting import FsrParams
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    output = imgio.pgm_path(args.output, "write")  # before any work is done
     image = imgio.read_image(args.input)
     if args.mask is not None:
         mask = imgio.read_pbm(args.mask)
@@ -23,7 +24,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         mask = generate_mask(image.width, image.height, args.density, args.seed or 0)
     params = FsrParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FsrParams)})
     result = run_method(args.method, image, mask, params)
-    imgio.write_pgm(args.output, result.image)
+    imgio.write_pgm(output, result.image)
     if result.fallback_blocks:
         print(f"{len(result.fallback_blocks)} block(s) used the zero-data fallback")
     return 0

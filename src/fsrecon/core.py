@@ -34,9 +34,10 @@ from .weighting import FsrParams, WeightMap, build_weight_map, check_kind, effec
 class ModelState:
     """Mutable state of the greedy model generation for a stack of F windows.
 
-    The weighted residual spectrum is kept for rows 0..M/2 only: every bin
-    of ``order`` lies there, and the rest follows by Hermitian
-    symmetry.  Each window's weight spectrum is tiled into a (3M/2, 2M)
+    The weighted residual spectrum, (F, M/2+1, M), is kept for rows 0..M/2
+    only: every bin of ``order`` lies there, and the rest follows by
+    Hermitian symmetry.  Its last axis is the one record of the window
+    side M that the state keeps.  Each window's weight spectrum is tiled into a (3M/2, 2M)
     tile, two copies side by side and the first M/2 rows of both again
     below, so the spectrum shifted by any bin (u, v), restricted to rows
     0..M/2, is a plain (M/2+1, M) slab of the tile.  ``weight_slabs[o]`` is
@@ -57,7 +58,6 @@ class ModelState:
     weight_slabs: NDArray[np.complex128]
     tile_offsets: NDArray[np.intp]
     weight_sum: NDArray[np.float64]
-    M: int
     residual_rows: NDArray[np.complex128]
     residual_flat: NDArray[np.complex128]
     row_starts: NDArray[np.intp]
@@ -157,7 +157,6 @@ def init_model_state(values: NDArray[np.float64], weight_map: WeightMap) -> Mode
         weight_slabs=slabs,
         tile_offsets=np.arange(len(w)) * (3 * M * M),
         weight_sum=weight_sum,
-        M=M,
         residual_rows=residual.reshape(len(w), -1),
         residual_flat=residual.reshape(-1),
         row_starts=np.arange(len(w)) * (half * M),
@@ -256,7 +255,7 @@ def synthesize_model(state: ModelState) -> NDArray[np.float64]:
     iteration order, bins before partners, sums every coefficient in the
     order of one accumulation per iteration, from +0.
     """
-    F, M = len(state.weight_sum), state.M
+    F, M = len(state.weight_sum), state.weighted_residual_spectrum.shape[-1]
     j = np.array([j for j, _ in state.updates])  # (iterations, F)
     cc = np.array([cc for _, cc in state.updates])  # (iterations, 2F)
     bins = state.table.bins[:, j].transpose(1, 0, 2)  # (iterations, 2, F)
@@ -269,9 +268,15 @@ def synthesize_model(state: ModelState) -> NDArray[np.float64]:
     return g.real
 
 
-def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Center blocks of the models ``g``, clipped, with the known samples passed through."""
-    b, B = ctx.border, ctx.block_size
+def _center_patch(
+    ctx: BlockContext, params: FsrParams, g: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Center blocks of the models ``g``, clipped, with the known samples passed through.
+
+    The block is ``params.block_size`` square and starts at window position
+    ``(params.border, params.border)``.
+    """
+    b, B = params.border, params.block_size
     center = np.s_[..., b : b + B, b : b + B]
     patch = np.clip(g[center], 0.0, 255.0)
     known = ctx.labels[center] == AreaLabel.A.value
@@ -282,14 +287,21 @@ def _center_patch(ctx: BlockContext, g: NDArray[np.float64]) -> NDArray[np.float
 def _set_up(
     ctx: BlockContext, params: FsrParams, prior: PriorKind, bins: NDArray[np.intp]
 ) -> tuple[WeightMap, NDArray[np.bool_], NDArray[np.float64]]:
-    """The one check of ``prior``; then, for every window of ``ctx`` (a stack
-    of F, or one window as F = 1), the weight map, the no-data mask
-    (``_no_data``) and the prior weights (F, len(bins)) at ``bins``.
+    """The one check of ``prior`` and of the window side; then, for every
+    window of ``ctx`` (a stack of F, or one window as F = 1), the weight
+    map, the no-data mask (``_no_data``) and the prior weights
+    (F, len(bins)) at ``bins``.
+
+    The side must be ``params.window_size``: the geometry is read from
+    ``params`` alone, so a window cut for other parameters is rejected.
     """
     check_kind("prior", prior, PriorKind, "a PriorKind")
+    M = params.window_size
+    if ctx.labels.shape[-1] != M:
+        raise ValueError(f"window side {ctx.labels.shape[-1]} is not params.window_size {M}")
     wm = build_weight_map(ctx, params)
     alphas = prior_alphas(prior, effective_density(ctx, wm, params), params)
-    return wm, _no_data(wm.weight_sum), build_prior_map(ctx.M, alphas, bins)
+    return wm, _no_data(wm.weight_sum), build_prior_map(M, alphas, bins)
 
 
 def _reconstruct_blocks(
@@ -308,8 +320,9 @@ def _reconstruct_blocks(
     run through the kernel as one stack, whose peak allocation is about
     148 kB per 32x32 window, and take its models.
     """
-    wm, no_data, prior_weights = _set_up(ctx, params, prior, _position_table(ctx.M).bins[0])
-    g = np.repeat(fallback_values, ctx.M * ctx.M).reshape(ctx.values.shape)
+    M = params.window_size
+    wm, no_data, prior_weights = _set_up(ctx, params, prior, _position_table(M).bins[0])
+    g = np.repeat(fallback_values, M * M).reshape(ctx.values.shape)
     idx = np.flatnonzero(~no_data)
     if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
@@ -319,11 +332,11 @@ def _reconstruct_blocks(
             j = select_basis(q, prior_weights)
             update_model(state, j, params)
         if traces is not None:
-            u, v = np.divmod(state.order[np.array([j for j, _ in state.updates])].T, ctx.M)
+            u, v = np.divmod(state.order[np.array([j for j, _ in state.updates])].T, M)
             for i, uu, vv in zip(idx, u.tolist(), v.tolist()):
                 traces[i].extend(zip(uu, vv))
         g[idx] = synthesize_model(state)
-    return _center_patch(ctx, g), no_data
+    return _center_patch(ctx, params, g), no_data
 
 
 def reconstruct_block(
@@ -341,7 +354,7 @@ def reconstruct_block(
     """
     if not np.isfinite(fallback_value):
         raise ValueError(f"fallback_value must be finite, got {fallback_value}")
-    stack = BlockContext(ctx.block_size, ctx.border, ctx.labels[None], ctx.values[None])
+    stack = BlockContext(ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
     patches, fallback = _reconstruct_blocks(
         stack, params, np.array([fallback_value]), traces, prior
@@ -376,10 +389,10 @@ def reconstruct_block_reference(
     """
     if not np.isfinite(fallback_value):
         raise ValueError(f"fallback_value must be finite, got {fallback_value}")
-    M = ctx.M
+    M = params.window_size
     wm, no_data, prior_weights = _set_up(ctx, params, prior, np.arange(M * M))
     if no_data:
-        return _center_patch(ctx, np.full(ctx.values.shape, fallback_value)), True
+        return _center_patch(ctx, params, np.full(ctx.values.shape, fallback_value)), True
 
     w = wm.w
     E = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
@@ -408,7 +421,7 @@ def reconstruct_block_reference(
         r -= upd
         if energy_trace is not None:
             energy_trace.append(float(np.sum(w * r**2)))
-    return _center_patch(ctx, g), False
+    return _center_patch(ctx, params, g), False
 
 
 def reconstruct_image(
@@ -437,7 +450,7 @@ def reconstruct_image(
 
     labels, out = pad_planes(image, mask, B, b)
     # views: they see every paste-back
-    windows = [sliding_window_view(p, (B + 2 * b,) * 2) for p in (labels, out)]
+    windows = [sliding_window_view(p, (params.window_size,) * 2) for p in (labels, out)]
     global_mean = float(known_values.mean()) if known_values.size else 128.0
 
     origins = np.mgrid[0:H:B, 0:W:B].reshape(2, -1).T  # block origins in raster order
@@ -455,7 +468,7 @@ def reconstruct_image(
     # flat plane offsets of a center block from its block's image origin
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
-        ctx = build_block_context(*windows, origins[members], B, b)
+        ctx = build_block_context(*windows, origins[members])
         patches, no_data = _reconstruct_blocks(ctx, params, fallback_values[members], prior=prior)
         at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
         fill = labels.flat[at] == AreaLabel.B.value

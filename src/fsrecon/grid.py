@@ -7,6 +7,8 @@ processed blocks (R), and positions beyond the image bounds (OUTSIDE).
 The image under reconstruction is held as a label plane and a value plane,
 padded with OUTSIDE so that every window is a plain slice of both; the
 windows of a wavefront are gathered from them as one (F, M, M) stack.
+The geometry, block size B and border b with M = B + 2b, lives only in
+``FsrParams``; a window carries its pixels and nothing else.
 """
 
 from __future__ import annotations
@@ -82,32 +84,26 @@ class BlockContext:
     """Extrapolation areas: M x M windows around the blocks to rebuild.
 
     ``labels`` and ``values`` are one (M, M) window or a stack of them
-    with leading axes, M = block_size + 2*border.  The center block starts
-    at window position ``(border, border)``; positions outside the image
-    carry the OUTSIDE label.  ``values`` is finite, and zero wherever the
-    label is B or OUTSIDE.
+    with leading axes.  Positions outside the image carry the OUTSIDE
+    label.  ``values`` is finite, and zero wherever the label is B or
+    OUTSIDE.  The window holds no geometry: the reconstruction reads the
+    block size and border from its ``FsrParams`` and rejects a window
+    whose side M is not their ``window_size``.
     """
 
-    block_size: int
-    border: int
     labels: NDArray[np.uint8]
     values: NDArray[np.float64] = field(repr=False)
 
     def __post_init__(self):
-        M = self.block_size + 2 * self.border
         if self.values.shape != self.labels.shape:
             raise ValueError("labels and values shapes differ")
-        if self.labels.shape[-2:] != (M, M):
-            raise ValueError("window must be square with M = block_size + 2*border")
+        if self.labels.ndim < 2 or self.labels.shape[-2] != self.labels.shape[-1]:
+            raise ValueError(f"window must be square, got shape {self.labels.shape}")
         dead = (self.labels == AreaLabel.B.value) | (self.labels == AreaLabel.OUTSIDE.value)
         if np.any(dead & (self.values != 0.0)):  # NaN != 0.0, so NaN is rejected too
             raise ValueError("values must be zero on B/OUTSIDE positions")
         if not np.isfinite(self.values).all():  # what is left lies on A or R
             raise ValueError("values must be finite")
-
-    @property
-    def M(self) -> int:
-        return self.labels.shape[-1]
 
 
 def generate_mask(width: int, height: int, density: float, seed: int) -> SamplingMask:
@@ -134,8 +130,10 @@ def check_inputs(image: ImageGrid, mask: SamplingMask) -> NDArray[np.float64]:
     Rejects a mask whose size differs from the image and any known sample
     outside [0, 255].
     """
-    if (image.height, image.width) != (mask.height, mask.width):
-        raise ValueError("image and mask dimensions differ")
+    if image.samples.shape != mask.flags.shape:
+        raise ValueError(
+            f"image {image.samples.shape} and mask {mask.flags.shape} dimensions differ"
+        )
     known = image.samples[mask.flags]
     if known.size and (known.min() < 0.0 or known.max() > 255.0):
         raise ValueError("known samples must lie in [0, 255]")
@@ -174,8 +172,6 @@ def build_block_context(
     labels: NDArray[np.uint8],
     values: NDArray[np.float64],
     origins: tuple[int, int] | NDArray[np.intp],
-    block_size: int,
-    border: int,
 ) -> BlockContext:
     """The extrapolation areas of the blocks at image positions ``origins``.
 
@@ -184,10 +180,12 @@ def build_block_context(
     from ``pad_planes`` in which the pixels of earlier blocks may be
     relabelled R; values at B positions, such as fallback fills, read as
     zero.  The labels are a copy, so relabelling the planes later leaves
-    the context unchanged.
+    the context unchanged.  The window side M is the views' window shape;
+    ``reconstruct_image`` cuts them at ``FsrParams.window_size``, the one
+    record of the geometry.
     """
     r, c = np.asarray(origins).T
     lab = np.array(labels[r, c])
     data = (lab == AreaLabel.A.value) | (lab == AreaLabel.R.value)
     vals = np.where(data, values[r, c], 0.0)
-    return BlockContext(block_size, border, lab, vals)
+    return BlockContext(lab, vals)

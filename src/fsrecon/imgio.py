@@ -9,20 +9,35 @@ import numpy as np
 
 from .grid import ImageGrid, SamplingMask
 
+
+def pgm_path(path: str | Path, verb: str) -> Path:
+    """``path`` as a Path, if its suffix is ``.pgm``: images are read and
+    written as PGM only.  Any other suffix raises a ValueError naming PGM.
+    """
+    path = Path(path)
+    if path.suffix.lower() != ".pgm":
+        raise ValueError(f"cannot {verb} {path}: only PGM images (.pgm) are read or written")
+    return path
+
+
 def _read_pnm_header(
     path: str | Path, data: bytes, magic: bytes, n_fields: int
 ) -> tuple[list[int], int]:
     """The ``n_fields`` header numbers after ``magic`` and the offset of the pixel data.
 
     Each number follows at least one whitespace byte or comment, and one
-    whitespace byte ends the header.
+    whitespace byte ends the header.  The first two, width and height,
+    must be positive.
     """
     if not data.startswith(magic):
         raise ValueError(f"{path}: not a {magic.decode()} file")
     m = re.match(magic + rb"(?:\s|#[^\n]*\n)+(\d+)" * n_fields + rb"\s", data)
     if m is None:
         raise ValueError(f"{path}: truncated or malformed PNM header")
-    return [int(f) for f in m.groups()], m.end()
+    fields = [int(f) for f in m.groups()]
+    if 0 in fields[:2]:
+        raise ValueError(f"{path}: image of width {fields[0]} and height {fields[1]} is empty")
+    return fields, m.end()
 
 
 def _read_payload(path: str | Path, data: bytes, pos: int, nbytes: int) -> np.ndarray:
@@ -39,9 +54,7 @@ def read_image(path: str | Path) -> ImageGrid:
     At maxval 255 the samples are the bytes themselves.  A sample above
     maxval is rejected, and so is any file whose suffix is not ``.pgm``.
     """
-    path = Path(path)
-    if path.suffix.lower() != ".pgm":
-        raise ValueError(f"cannot read {path}: only PGM images (.pgm) are read")
+    path = pgm_path(path, "read")
     data = path.read_bytes()
     (width, height, maxval), pos = _read_pnm_header(path, data, b"P5", 3)
     if not 0 < maxval <= 255:
@@ -55,9 +68,11 @@ def read_image(path: str | Path) -> ImageGrid:
 
 
 def write_pgm(path: str | Path, image: ImageGrid) -> None:
+    """Write a binary 8-bit PGM, rounded and clipped to [0, 255]; only to a ``.pgm`` path."""
+    path = pgm_path(path, "write")
     arr = np.clip(np.rint(image.samples), 0, 255).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode()
-    Path(path).write_bytes(header + arr.tobytes())
+    path.write_bytes(header + arr.tobytes())
 
 
 def read_pbm(path: str | Path) -> SamplingMask:

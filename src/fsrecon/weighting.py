@@ -84,7 +84,7 @@ def decay_map(M: int, rho_hat: float) -> NDArray[np.float64]:
 
 def build_weight_map(ctx: BlockContext, params: FsrParams) -> WeightMap:
     """rho^d on A, delta*rho^d on R, else 0, for each window of ``ctx``."""
-    decay = decay_map(ctx.M, params.rho_hat)
+    decay = decay_map(ctx.labels.shape[-1], params.rho_hat)
     w = np.where(ctx.labels == AreaLabel.A.value, decay, 0.0)
     w += np.where(ctx.labels == AreaLabel.R.value, params.delta * decay, 0.0)
     return WeightMap(w=w, weight_sum=np.sum(w, axis=(-2, -1)))
@@ -98,4 +98,4 @@ def effective_density(
     Ratio of the summed weights on A and R to the undamped decay mass over
     the whole window (including B and OUTSIDE positions).
     """
-    return weight_map.weight_sum / np.sum(decay_map(ctx.M, params.rho_hat))
+    return weight_map.weight_sum / np.sum(decay_map(ctx.labels.shape[-1], params.rho_hat))

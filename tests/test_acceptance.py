@@ -42,12 +42,10 @@ def crop() -> f.ImageGrid:
     return f.ImageGrid(skimage_data.camera().astype(float)[64:192, 96:224])
 
 
-def random_ctx(rng, M, density, block_size, border):
+def random_ctx(rng, M, density):
     labels = np.where(rng.random((M, M)) < density, AreaLabel.A, AreaLabel.B).astype(np.uint8)
     values = np.where(labels == AreaLabel.A, rng.uniform(0, 255, (M, M)), 0.0)
-    return BlockContext(
-        block_size=block_size, border=border, labels=labels, values=values
-    )
+    return BlockContext(labels=labels, values=values)
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +70,7 @@ def prior_at(k, l, M, alpha):
 def weight_at(m, n, label, M, params):
     """``build_weight_map``'s weight at (m, n) of an M x M window that holds only ``label``."""
     labels = np.full((M, M), label, dtype=np.uint8)
-    ctx = BlockContext(block_size=M, border=0, labels=labels, values=np.zeros((M, M)))
+    ctx = BlockContext(labels=labels, values=np.zeros((M, M)))
     return float(build_weight_map(ctx, params).w[m, n])
 
 
@@ -123,7 +121,7 @@ def test_criterion_1_formula_unit_suite():
         values = np.where(
             (labels == AreaLabel.A) | (labels == AreaLabel.R), 1.0, 0.0
         )
-        ctx = BlockContext(block_size=4, border=2, labels=labels, values=values)
+        ctx = BlockContext(labels=labels, values=values)
         p = f.FsrParams(rho_hat=float(rng.uniform(0.1, 1.0)), delta=float(rng.uniform(0.1, 1.0)))
         num = sum(
             weight_at(m, n, AreaLabel(labels[m, n]), M, p)
@@ -155,7 +153,7 @@ def test_criterion_2_oracle_equivalence():
     ok = True
     for i in range(50):
         density = 0.05 + 0.90 * i / 49
-        ctx = random_ctx(rng, 16, density, 8, 4)
+        ctx = random_ctx(rng, 16, density)
         tf, tr = [], []
         fast, fb1 = reconstruct_block(ctx, params, selection_trace=tf)
         ref, fb2 = reconstruct_block_reference(ctx, params, selection_trace=tr)
@@ -175,7 +173,7 @@ def test_criterion_3_invariant_suite():
 
     # model realness and monotone weighted residual energy, 100 iterations
     for _ in range(20):
-        ctx = random_ctx(rng, 16, float(rng.uniform(0.1, 0.9)), 8, 4)
+        ctx = random_ctx(rng, 16, float(rng.uniform(0.1, 0.9)))
         p = f.FsrParams(block_size=8, border=4, iterations=100)
         wm = build_weight_map(ctx, p)
         if wm.weight_sum == 0.0:

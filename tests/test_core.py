@@ -27,24 +27,17 @@ from fsrecon.weighting import (
 )
 
 
-def random_ctx(rng, M=8, density=0.5, block_size=None, border=None):
-    if block_size is None:
-        block_size = M // 2
-        border = (M - block_size) // 2
+def random_ctx(rng, M=8, density=0.5):
     labels = np.where(rng.random((M, M)) < density, AreaLabel.A, AreaLabel.B).astype(np.uint8)
     values = np.where(labels == AreaLabel.A, rng.uniform(0, 255, (M, M)), 0.0)
-    return BlockContext(
-        block_size=block_size, border=border, labels=labels, values=values
-    )
+    return BlockContext(labels=labels, values=values)
 
 
 def full_ctx(values):
     values = np.asarray(values, dtype=float)
     M = values.shape[0]
     labels = np.full((M, M), AreaLabel.A, dtype=np.uint8)
-    return BlockContext(
-        block_size=M // 2, border=M // 4, labels=labels, values=values
-    )
+    return BlockContext(labels=labels, values=values)
 
 
 def bin_of(j, M):
@@ -167,16 +160,14 @@ class TestProjections:
         labels[1, 2] = AreaLabel.A
         values = np.zeros((4, 4))
         values[1, 2] = 9.0
-        ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
+        ctx = BlockContext(labels=labels, values=values)
         state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
         proj = projection_coefficients(state)
         np.testing.assert_allclose(np.abs(proj), 9.0, rtol=1e-12)
 
     def test_empty_window_raises(self):
         labels = np.full((4, 4), AreaLabel.B, dtype=np.uint8)
-        ctx = BlockContext(
-            block_size=2, border=1, labels=labels, values=np.zeros((4, 4))
-        )
+        ctx = BlockContext(labels=labels, values=np.zeros((4, 4)))
         with pytest.raises(ValueError):
             init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
 
@@ -187,7 +178,7 @@ class TestSelectBasis:
         labels[1, 2] = AreaLabel.A
         values = np.zeros((4, 4))
         values[1, 2] = 5.0
-        ctx = BlockContext(block_size=2, border=1, labels=labels, values=values)
+        ctx = BlockContext(labels=labels, values=values)
         state = init_model_state(ctx.values, build_weight_map(ctx, FsrParams()))
         prior = build_prior_map(4, [1.0], state.order)
         proj = projection_coefficients(state)
@@ -420,7 +411,7 @@ class TestReconstructBlock:
         labels = np.where(rng.random((M, M)) < 0.5, AreaLabel.A, AreaLabel.B).astype(np.uint8)
         labels[6:10, 6:10] = AreaLabel.A
         values = np.where(labels == AreaLabel.A, rng.uniform(0, 255, (M, M)), 0.0)
-        ctx = BlockContext(block_size=4, border=6, labels=labels, values=values)
+        ctx = BlockContext(labels=labels, values=values)
         patch, fb = reconstruct_block(ctx, FsrParams(block_size=4, border=6, iterations=5))
         assert not fb
         np.testing.assert_array_equal(patch, values[6:10, 6:10])
@@ -430,16 +421,14 @@ class TestReconstructBlock:
         M, c = 32, 131.0
         labels = np.where(rng.random((M, M)) < 0.3, AreaLabel.A, AreaLabel.B).astype(np.uint8)
         values = np.where(labels == AreaLabel.A, c, 0.0)
-        ctx = BlockContext(block_size=4, border=14, labels=labels, values=values)
+        ctx = BlockContext(labels=labels, values=values)
         patch, fb = reconstruct_block(ctx, FsrParams(), prior=PriorKind.ADAPTIVE)
         assert not fb
         np.testing.assert_allclose(patch, c, atol=0.5)
 
     def test_zero_data_fallback(self):
         labels = np.full((8, 8), AreaLabel.B, dtype=np.uint8)
-        ctx = BlockContext(
-            block_size=4, border=2, labels=labels, values=np.zeros((8, 8))
-        )
+        ctx = BlockContext(labels=labels, values=np.zeros((8, 8)))
         patch, fb = reconstruct_block(ctx, FsrParams(block_size=4, border=2), fallback_value=77.0)
         assert fb
         np.testing.assert_array_equal(patch, 77.0)
@@ -449,7 +438,7 @@ class TestReconstructBlock:
         rng = np.random.default_rng(43)
         p = FsrParams(block_size=8, border=4, iterations=10)
         for _ in range(5):
-            ctx = random_ctx(rng, M=16, density=float(rng.uniform(0.1, 0.9)), block_size=8, border=4)
+            ctx = random_ctx(rng, M=16, density=float(rng.uniform(0.1, 0.9)))
             t_fast, t_ref = [], []
             fast, _ = reconstruct_block(ctx, p, selection_trace=t_fast, prior=kind)
             ref, _ = reconstruct_block_reference(ctx, p, selection_trace=t_ref, prior=kind)
@@ -459,7 +448,7 @@ class TestReconstructBlock:
     def test_residual_energy_non_increasing(self):
         rng = np.random.default_rng(44)
         for _ in range(5):
-            ctx = random_ctx(rng, M=16, density=float(rng.uniform(0.2, 0.8)), block_size=8, border=4)
+            ctx = random_ctx(rng, M=16, density=float(rng.uniform(0.2, 0.8)))
             energies = []
             reconstruct_block_reference(
                 ctx,
@@ -524,7 +513,7 @@ class TestReconstructImage:
 def all_b_ctx(M=8):
     """A window without a known sample: every path takes the fallback."""
     labels = np.full((M, M), AreaLabel.B, dtype=np.uint8)
-    return BlockContext(block_size=M // 2, border=M // 4, labels=labels, values=np.zeros((M, M)))
+    return BlockContext(labels=labels, values=np.zeros((M, M)))
 
 
 @pytest.mark.parametrize("prior", ["adaptive", "otf"])
@@ -549,6 +538,18 @@ def test_entries_reject_a_non_finite_fallback_value(entry, value):
     for ctx in (random_ctx(np.random.default_rng(47), M=8), all_b_ctx()):
         with pytest.raises(ValueError, match="fallback_value must be finite"):
             entry(ctx, params, fallback_value=value)
+
+
+@pytest.mark.parametrize("entry", [reconstruct_block, reconstruct_block_reference])
+@pytest.mark.parametrize("block_size, border", [(2, 2), (4, 14), (4, 0)])
+def test_entries_reject_a_window_of_another_side(entry, block_size, border):
+    # the geometry comes from the params alone: an 8x8 window cut for
+    # B = 4, b = 2 must not be read as one of another block size or border
+    params = FsrParams(iterations=1, block_size=block_size, border=border)
+    message = re.escape(f"window side 8 is not params.window_size {params.window_size}")
+    for ctx in (random_ctx(np.random.default_rng(48), M=8), all_b_ctx()):
+        with pytest.raises(ValueError, match=message):
+            entry(ctx, params)
 
 
 @pytest.mark.parametrize("prior", ["adaptive", "otf"])

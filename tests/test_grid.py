@@ -59,7 +59,7 @@ def _context(img, mask, block_pos, block_size, border, recon=None):
         labels[border : border + img.height, border : border + img.width][recon] = AreaLabel.R
     M = block_size + 2 * border
     windows = sliding_window_view(labels, (M, M)), sliding_window_view(values, (M, M))
-    return build_block_context(*windows, block_pos, block_size, border)
+    return build_block_context(*windows, block_pos)
 
 
 class TestBuildBlockContext:
@@ -69,7 +69,7 @@ class TestBuildBlockContext:
         labels, values = pad_planes(img, mask, 2, 1)
         windows = sliding_window_view(labels, (4, 4)), sliding_window_view(values, (4, 4))
         labels[3, 3], values[3, 3] = AreaLabel.R, 7.0
-        ctx = build_block_context(*windows, (2, 2), 2, 1)
+        ctx = build_block_context(*windows, (2, 2))
         assert ctx.labels[1, 1] == AreaLabel.R and ctx.values[1, 1] == 7.0
         assert np.count_nonzero(ctx.values) == 1
         labels[3, 3] = AreaLabel.B
@@ -103,7 +103,7 @@ class TestBuildBlockContext:
         recon = ~mask.flags & (rng.random((20, 20)) < 0.3)
         ctx = _context(img, mask, (8, 8), 4, 6, recon)
         counts = sum(np.count_nonzero(ctx.labels == lab) for lab in AreaLabel)
-        assert counts == ctx.M * ctx.M
+        assert counts == ctx.labels.size
 
     def test_values_come_from_the_right_buffer(self):
         # every block of a ragged 10x7 image, so windows run past the
@@ -123,8 +123,8 @@ class TestBuildBlockContext:
         origins = [(r0, c0) for r0 in range(0, H, B) for c0 in range(0, W, B)]
         M = B + 2 * b
         windows = sliding_window_view(labels, (M, M)), sliding_window_view(values, (M, M))
-        ctxs = [build_block_context(*windows, o, B, b) for o in origins]
-        stacked = build_block_context(*windows, np.array(origins), B, b)
+        ctxs = [build_block_context(*windows, o) for o in origins]
+        stacked = build_block_context(*windows, np.array(origins))
         assert stacked.labels.shape == (len(origins), B + 2 * b, B + 2 * b)
         assert np.array_equal(stacked.labels, [ctx.labels for ctx in ctxs])
         assert np.array_equal(stacked.values, [ctx.values for ctx in ctxs])
@@ -134,8 +134,8 @@ class TestBuildBlockContext:
         assert all(np.array_equal(ctx.labels, k) for ctx, k in zip(ctxs, kept[1]))
         for (r0, c0), ctx in zip(origins, ctxs):
             assert ctx.labels.shape == (B + 2 * b, B + 2 * b)
-            for m in range(ctx.M):
-                for n in range(ctx.M):
+            for m in range(M):
+                for n in range(M):
                     r, c = r0 - b + m, c0 - b + n
                     if not (0 <= r < H and 0 <= c < W):
                         want = (AreaLabel.OUTSIDE, 0.0)
@@ -157,17 +157,17 @@ class TestBlockContextChecks:
     def test_shape_mismatch(self):
         labels, values = self.stack()
         with pytest.raises(ValueError, match="shapes differ"):
-            BlockContext(4, 2, labels, values[:, :, :-1])
+            BlockContext(labels, values[:, :, :-1])
         with pytest.raises(ValueError, match="shapes differ"):
-            BlockContext(4, 2, labels, values[0])
+            BlockContext(labels, values[0])
 
     def test_window_size(self):
         labels, values = self.stack()
-        BlockContext(4, 2, labels, values)
+        BlockContext(labels, values)
         with pytest.raises(ValueError, match="square"):
-            BlockContext(2, 2, labels, values)  # M = 8 != 2 + 2*2
+            BlockContext(labels[:, :, :6], values[:, :, :6])  # 8 x 6
         with pytest.raises(ValueError, match="square"):
-            BlockContext(4, 2, labels[:, :, :6], values[:, :, :6])  # 8 x 6
+            BlockContext(labels[0, 0], values[0, 0])  # one row of 8
 
     @pytest.mark.parametrize("label", [AreaLabel.B, AreaLabel.OUTSIDE])
     @pytest.mark.parametrize("value", [1.0, -1e-300, np.inf, np.nan])
@@ -176,10 +176,10 @@ class TestBlockContextChecks:
         labels[:, 1, :] = label
         values[:, 1, :] = 0.0
         values[2, 1, 5] = -0.0  # a signed zero is zero
-        BlockContext(4, 2, labels, values)
+        BlockContext(labels, values)
         values[2, 1, 3] = value  # one position of the last window
         with pytest.raises(ValueError, match="zero on B/OUTSIDE"):
-            BlockContext(4, 2, labels, values)
+            BlockContext(labels, values)
 
     @pytest.mark.parametrize("label", [AreaLabel.A, AreaLabel.R])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -188,7 +188,7 @@ class TestBlockContextChecks:
         labels, values = self.stack()
         labels[2, 1, 3], values[2, 1, 3] = label, value
         with pytest.raises(ValueError, match="values must be finite"):
-            BlockContext(4, 2, labels, values)
+            BlockContext(labels, values)
 
 
 @pytest.mark.parametrize(

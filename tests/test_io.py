@@ -116,3 +116,38 @@ def test_header_errors_name_the_file(tmp_path, name, data, message):
     read = read_image if name.endswith(".pgm") else read_pbm
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "name, data, size",
+    [
+        ("empty.pgm", b"P5 0 4 255\n", "width 0 and height 4"),
+        ("empty.pgm", b"P5 4 0 255\n", "width 4 and height 0"),
+        ("empty.pbm", b"P4 0 4\n", "width 0 and height 4"),
+        ("empty.pbm", b"P4 4 0\n", "width 4 and height 0"),
+    ],
+    ids=["pgm-no-width", "pgm-no-height", "pbm-no-width", "pbm-no-height"],
+)
+def test_zero_size_header_names_the_file(tmp_path, name, data, size):
+    # accepted, the error came from ImageGrid or SamplingMask without the path
+    path = tmp_path / name
+    path.write_bytes(data)
+    read = read_image if name.endswith(".pgm") else read_pbm
+    with pytest.raises(ValueError, match=re.escape(f"{path}: image of {size} is empty")):
+        read(path)
+
+
+@pytest.mark.parametrize("name", ["out.png", "out.pbm", "out"])
+def test_write_pgm_rejects_another_suffix(tmp_path, name):
+    # accepted, PGM bytes were written under any name
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {path}: only PGM images")):
+        write_pgm(path, ImageGrid(np.zeros((2, 2))))
+    assert not path.exists()
+
+
+def test_write_pgm_accepts_an_upper_case_suffix(tmp_path):
+    # the suffix rule is the reader's: .PGM reads, so it writes
+    path = tmp_path / "out.PGM"
+    write_pgm(path, ImageGrid(np.full((2, 3), 7.0)))
+    assert read_image(path).samples.tobytes() == np.full((2, 3), 7.0).tobytes()

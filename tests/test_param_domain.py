@@ -114,8 +114,8 @@ def test_subnormal_weight_sum_falls_back_on_both_paths():
     labels[5, 5] = AreaLabel.A.value  # 2.12 px from the center: 1e-150 ** 2.12 is subnormal
     values = np.zeros((8, 8))
     values[5, 5] = 100.0
-    ctx = BlockContext(block_size=4, border=2, labels=labels, values=values)
-    params = FsrParams(rho_hat=1e-150)
+    ctx = BlockContext(labels=labels, values=values)
+    params = FsrParams(rho_hat=1e-150, block_size=4, border=2)
     fast, fell_back = reconstruct_block(ctx, params, fallback_value=60.0)
     oracle, oracle_fell_back = reconstruct_block_reference(ctx, params, fallback_value=60.0)
     assert fell_back and oracle_fell_back
@@ -151,15 +151,14 @@ def test_subnormal_weight_sum_without_a_pixel_to_fill_is_not_flagged():
     labels[0, 0] = AreaLabel.A.value  # 2.12 px from the center: 1e-150 ** 2.12 is subnormal
     values = np.zeros((4, 4))
     values[0, 0] = 9.0
-    ctx = BlockContext(block_size=4, border=0, labels=labels, values=values)
-    params = FsrParams(rho_hat=1e-150)
+    ctx = BlockContext(labels=labels, values=values)
+    params = FsrParams(rho_hat=1e-150, block_size=4, border=0)
     for patch, fell_back in (reconstruct_block(ctx, params), reconstruct_block_reference(ctx, params)):
         assert fell_back
         assert patch[0, 0] == 9.0
     samples = np.random.default_rng(3).uniform(0.0, 255.0, (9, 9))
     flags = np.ones((9, 9), dtype=bool)
-    result = reconstruct_image(ImageGrid(samples), SamplingMask(flags),
-                               FsrParams(rho_hat=1e-150, block_size=4, border=0))
+    result = reconstruct_image(ImageGrid(samples), SamplingMask(flags), params)
     assert (8, 8) not in result.fallback_blocks
 
 

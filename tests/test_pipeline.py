@@ -15,7 +15,7 @@ import fsrecon.cli
 from fsrecon import pipeline
 from fsrecon.cli import main as cli_main
 from fsrecon.grid import ImageGrid, SamplingMask, generate_mask
-from fsrecon.imgio import read_image, write_pgm
+from fsrecon.imgio import read_image, write_pbm, write_pgm
 from fsrecon.pipeline import (
     METHODS,
     ExperimentConfig,
@@ -517,6 +517,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "only PGM images" in err
+
+    def test_reconstruct_png_output_exits_before_running(
+        self, test_image, tmp_path, capsys, monkeypatch
+    ):
+        # accepted, PGM bytes were written under the .png name
+        def no_run(*args):
+            raise AssertionError("reconstruction ran")
+
+        monkeypatch.setattr(fsrecon.cli, "run_method", no_run)
+        out = tmp_path / "out.png"
+        argv = ["reconstruct", "--input", test_image, "--density", "0.5", "--method", "nn",
+                "--output", str(out)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: only PGM images (.pgm) are read or written\n"
+
+    def test_reconstruct_mask_size_mismatch_names_both_shapes(self, test_image, tmp_path, capsys):
+        mask = tmp_path / "small.pbm"
+        write_pbm(mask, SamplingMask(np.ones((8, 8), dtype=bool)))
+        out = tmp_path / "out.pgm"
+        rc = cli_main(["reconstruct", "--input", test_image, "--mask", str(mask),
+                       "--method", "fsr-ap", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: image (32, 32) and mask (8, 8) dimensions differ\n"
 
     def test_reconstruct_border_beyond_numpy_exits_with_message(self, test_image, tmp_path, capsys):
         # numpy refuses planes of this shape before it allocates anything

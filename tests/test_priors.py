@@ -215,7 +215,7 @@ def test_alpha_map_falls_where_the_mask_is_dense():
     labels, values = pad_planes(image, SamplingMask(flags), B, params.border)
     windows = [sliding_window_view(p, (B + 2 * params.border,) * 2) for p in (labels, values)]
     origins = np.mgrid[0:H:B, 0:W:B].reshape(2, -1).T
-    ctx = build_block_context(*windows, origins, B, params.border)
+    ctx = build_block_context(*windows, origins)
     omega = effective_density(ctx, build_weight_map(ctx, params), params)
     alphas = np.array(prior_alphas(PriorKind.ADAPTIVE, omega, params))
     left = origins[:, 1] < W // 2

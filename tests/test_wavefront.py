@@ -32,7 +32,7 @@ def raster_reconstruction(image, mask, params, block_fn):
     fallback_blocks = []
     for r0 in range(0, H, B):
         for c0 in range(0, W, B):
-            ctx = build_block_context(*windows, (r0, c0), B, b)
+            ctx = build_block_context(*windows, (r0, c0))
             fb = seen_sum / seen_cnt if seen_cnt else global_mean
             patch, used_fb = block_fn(ctx, params, fb)
             center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]

@@ -7,18 +7,12 @@ from fsrecon.grid import AreaLabel, BlockContext
 from fsrecon.weighting import FsrParams, build_weight_map, effective_density
 
 
-def make_ctx(labels, values=None, block_size=None, border=None):
+def make_ctx(labels, values=None):
     labels = np.asarray(labels, dtype=np.uint8)
-    M = labels.shape[0]
-    if block_size is None:
-        border = M // 4
-        block_size = M - 2 * border
     if values is None:
         values = np.zeros_like(labels, dtype=float)
         values[(labels == AreaLabel.A) | (labels == AreaLabel.R)] = 1.0
-    return BlockContext(
-        block_size=block_size, border=border, labels=labels, values=values
-    )
+    return BlockContext(labels=labels, values=values)
 
 
 def ref_weight(m, n, label, M, params):
@@ -35,7 +29,7 @@ def ref_weight(m, n, label, M, params):
 def weight_at(m, n, label, M, params):
     """``build_weight_map``'s weight at (m, n) of an M x M window that holds only ``label``."""
     labels = np.full((M, M), label, dtype=np.uint8)
-    ctx = BlockContext(block_size=M, border=0, labels=labels, values=np.zeros((M, M)))
+    ctx = BlockContext(labels=labels, values=np.zeros((M, M)))
     return float(build_weight_map(ctx, params).w[m, n])
 
 
