@@ -10,15 +10,18 @@ stacks of F = 1, 3, 10 and 30 windows of the default 32x32 size at
 density 0.1, as the mean over one block's iterations.  The image part
 times whole ``reconstruct_image`` calls on the benchmark's 512x64 and
 64x512 images (``perfbench/workloads.make_image``), ``fsr-ap`` at 0.1 and
-``fsr-otf`` at 0.5, as ms per 4x4 block.
+``fsr-otf`` at 0.5, as ms per 4x4 block.  The ``lin`` part times whole
+``linear_triangulation_fill`` calls on the benchmark's 256x256 image at
+density 0.3, as ms per call; scipy is imported before the first.
 
 The trees take turns, in alternating order from one repeat to the next,
 and are timed in CPU time (``time.process_time``), which leaves out the
 time a shared host keeps the process waiting.  Each line gives a tree's
 median [first quartile, third quartile]; with two trees it adds the ratio
 of the second tree's median to the first's and how many repeats the
-second tree won.  An image line also says whether both trees' outputs and
-fallback blocks are byte-equal; the script exits 1 if any of them differ.
+second tree won.  An image or ``lin`` line also says whether both trees'
+outputs (and fallback blocks) are byte-equal; the script exits 1 if any of
+them differ.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from workloads import make_image  # noqa: E402
 STACK_SIZES = (1, 3, 10, 30)
 IMAGE_SIDES = (512, 64)  # long, short: the benchmark's 512x64 and 64x512
 IMAGE_CALLS = (("adaptive", 0.1), ("otf", 0.5))
+LIN_SIDE, LIN_DENSITY = 256, 0.3  # the benchmark's baselines workload
 SEED = 0
 
 
@@ -57,7 +61,7 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
     spec.loader.exec_module(module)
     return SimpleNamespace(**{
         part: importlib.import_module(f"{name}.{part}")
-        for part in ("core", "grid", "priors", "weighting")
+        for part in ("baselines", "core", "grid", "priors", "weighting")
     })
 
 
@@ -99,6 +103,16 @@ def time_image(tree, image: np.ndarray, prior: str, density: float):
     return elapsed / blocks * 1e3, output
 
 
+def time_lin(tree, image: np.ndarray, mask_flags: np.ndarray):
+    """CPU ms of one ``lin`` call, and its output bytes."""
+    grid = tree.grid
+    t0 = time.process_time()
+    result = tree.baselines.linear_triangulation_fill(
+        grid.ImageGrid(image), grid.SamplingMask(mask_flags)
+    )
+    return (time.process_time() - t0) * 1e3, result.samples.tobytes()
+
+
 def interleave(trees: list, repeats: int, run) -> tuple[list[list[float]], set[bytes]]:
     """Each tree's times over ``repeats`` turns, first tree first on even turns."""
     times: list[list[float]] = [[] for _ in trees]
@@ -110,6 +124,10 @@ def interleave(trees: list, repeats: int, run) -> tuple[list[list[float]], set[b
             times[side].append(t)
             outputs.add(out)
     return times, outputs
+
+
+def equality(outputs: set[bytes]) -> str:
+    return "  outputs equal" if len(outputs) == 1 else "  OUTPUTS DIFFER"
 
 
 def report(label: str, unit: str, times: list[list[float]], extra: str = "") -> None:
@@ -129,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("trees", nargs="*", type=Path, default=[ROOT / "src"],
                     help="one or two src/ directories, each holding fsrecon/")
     ap.add_argument("--repeats", type=int, default=15, help="kernel turns per tree")
-    ap.add_argument("--image-repeats", type=int, default=5, help="image turns per tree")
+    ap.add_argument("--image-repeats", type=int, default=11, help="image and lin turns per tree")
     args = ap.parse_args(argv)
     if not 1 <= len(args.trees) <= 2:
         ap.error("give one or two trees")
@@ -157,8 +175,15 @@ def main(argv: list[str] | None = None) -> int:
                 lambda tree: time_image(tree, image, prior, density),
             )
             differ |= len(outputs) > 1
-            equal = "  outputs equal" if len(outputs) == 1 else "  OUTPUTS DIFFER"
-            report(f"image {width}x{height} {prior}@{density}", "ms", times, equal)
+            report(f"image {width}x{height} {prior}@{density}", "ms", times, equality(outputs))
+
+    image = make_image(LIN_SIDE, LIN_SIDE, SEED).astype(np.float64)
+    flags = trees[0].grid.generate_mask(LIN_SIDE, LIN_SIDE, LIN_DENSITY, SEED).flags
+    for tree in trees:
+        tree.baselines.import_scipy()  # outside the timed calls
+    times, outputs = interleave(trees, args.image_repeats, lambda tree: time_lin(tree, image, flags))
+    differ |= len(outputs) > 1
+    report(f"lin {LIN_SIDE}x{LIN_SIDE}@{LIN_DENSITY}", "ms", times, equality(outputs))
     return int(differ)
 
 

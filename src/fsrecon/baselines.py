@@ -6,11 +6,24 @@ pixels it leaves, or all of them on a sparse mask, to a kd-tree.
 scipy is imported on the first kd-tree query or triangulation, not at
 module load, because FSR runs never use it.  Only ``scipy.spatial`` is
 imported: the linear interpolant is evaluated here from the
-triangulation's own barycentric transform.
+triangulation's barycentric transform.
+
+scipy builds ``Delaunay.transform`` lazily, one LAPACK factor, condition
+estimate and solve per simplex, which was about a third of a ``lin``
+call.  ``_barycentric_transform`` builds it with numpy instead, repeating
+OpenBLAS's arithmetic so that it equals scipy's bit for bit, and ``lin``
+hands it to scipy through the private cache ``Delaunay._transform``
+before ``find_simplex``.  That arithmetic is the BLAS kernel's, chosen at
+run time, so a probe compares both transforms once per process on a
+fixed triangulation (``_numpy_transform_matches``, run by the first
+``import_scipy``).  If they differ, if the cache cannot be set, or if a
+sample coordinate reaches ``EXACT_BELOW`` = 2**20, ``lin`` leaves the
+transform to scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from types import ModuleType
 
@@ -32,6 +45,8 @@ SCAN_MIN_HITS = 1.5
 # leaves, or all on a sparse mask) to find the ties at its nearest distance;
 # few such pixels have more ties than this.
 K_NEAREST = 6
+# _barycentric_transform equals scipy's only for integer coordinates below this.
+EXACT_BELOW = 2**20
 
 
 def _scan_offsets(radius: int) -> NDArray[np.intp]:
@@ -47,10 +62,125 @@ _OFFSETS = _scan_offsets(SCAN_RADIUS)
 
 
 def import_scipy() -> ModuleType:
-    """``scipy.spatial``, imported on the first call."""
+    """``scipy.spatial``, imported on the first call, which also runs the transform probe."""
     from scipy import spatial
 
+    _numpy_transform_matches()
     return spatial
+
+
+def _two_sum(a: NDArray[np.float64], b: NDArray[np.float64]):
+    """``s = fl(a + b)`` and the exact rest ``a + b - s`` (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a: NDArray[np.float64]):
+    """Veltkamp's split of ``a`` into two halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _fma(a: NDArray[np.float64], b: NDArray[np.float64], c: NDArray[np.float64]):
+    """``a * b + c`` rounded once, to nearest even, as a fused multiply-add.
+
+    Boldo and Melquiond's emulation (IEEE Trans. Computers 57(4), 2008),
+    proved correct in binary floating point barring overflow and
+    underflow: Dekker's exact product ``ph + pl = a * b``, the exact sum
+    ``sh + sl = c + ph``, then ``sl + pl`` rounded to odd, so that the last
+    rounding, of ``sh`` plus that, is not a double rounding.  Exact while
+    |a| and |b| stay below 2**995 and a nonzero |a * b| above 2**-969; in
+    ``_barycentric_transform`` they lie within 2**-41 and 2**21.
+    """
+    ph = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    sh, sl = _two_sum(c, ph)
+    v, rest = _two_sum(sl, pl)
+    # round to odd: an inexact v with an even last bit steps once towards the rest
+    even = (v.view(np.int64) & 1) == 0
+    v = np.where((rest != 0) & even, np.nextafter(v, np.copysign(np.inf, rest)), v)
+    return sh + v
+
+
+def _barycentric_transform(points: NDArray[np.float64], simplices: NDArray) -> NDArray[np.float64]:
+    """scipy's ``Delaunay.transform`` for integer ``points`` in [0, ``EXACT_BELOW``), bit for bit.
+
+    Rows 0 and 1 of simplex k are T^-1, where T's columns are vertices 0
+    and 1 minus vertex 2; row 2 is vertex 2.  scipy hands T's C buffer to
+    LAPACK, which reads it as A = T^T (a row per vertex), factors it
+    (getrf) and solves A X = I (getrs), and X^T = T^-1 is stored.  This
+    repeats OpenBLAS's arithmetic in its order:
+
+    - getf2 pivots on the first largest |A[:, 0]| (IAMAX) and scales by
+      the pivot's reciprocal: ``l = other * (1 / pivot)``,
+      ``u22 = b1 - l * b0``;
+    - the unit-lower forward solve multiplies and subtracts, which on the
+      columns of I is exact: y = (1, 0 - l) and (0, 1);
+    - the back substitution multiplies by the reciprocal diagonal and
+      fuses one multiply-add: ``x1 = y1 * (1 / u22)``,
+      ``x0 = fma(-b0, x1, y0) * (1 / pivot)``.
+
+    scipy fills a simplex with NaN when getrf meets a zero pivot or the
+    reciprocal condition number rcond that gecon estimates is below
+    1000 eps.  Here that is exactly the simplices with det T == 0.  The
+    entries of T are integers of magnitude D < 2**20, so det T is exact
+    (products below 2**40) and, if nonzero, at least 1 in magnitude; then
+    ||T||_1 <= 2D and ||T^-1||_1 = ||adj T||_1 / |det T| <= 2D, so rcond
+    >= 1 / (4 D**2) > 2**-42, 2.4% above 1000 eps.  gecon's estimate of
+    ||T^-1||_1 is a lower bound up to the rounding of its solves, a
+    relative error near cond(T) eps <= 2**-10, well inside that margin.
+    A singular T is NaN in scipy whether getrf's u22 rounds to zero or to
+    a rounding residue, whose rcond is then near eps.
+    """
+    vx, vy = np.take(points.T, simplices.T, axis=1)  # (3, n): vertex, simplex
+    ax, ay = vx[:2] - vx[2], vy[:2] - vy[2]  # A's columns
+    swap = np.abs(ax[1]) > np.abs(ax[0])  # IAMAX takes the first of equals
+    pivot, other = np.where(swap, ax[::-1], ax)
+    b0, b1 = np.where(swap, ay[::-1], ay)
+    singular = pivot * b1 - b0 * other == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_pivot = 1.0 / pivot
+        l = other * r_pivot
+        r_u22 = 1.0 / (b1 - l * b0)
+        # x for I's column of the pivot vertex, y = (1, 0 - l), and of the other,
+        # y = (0, 1): there fma(-b0, x1, 0.0) is the rounded product plus 0.0
+        x1 = (0.0 - l) * r_u22
+        pivot_row = np.stack([_fma(-b0, x1, 1.0) * r_pivot, x1])
+        other_row = np.stack([(-b0 * r_u22 + 0.0) * r_pivot, r_u22])
+    out = np.empty((len(pivot), 3, 2))
+    out[:, 0] = np.where(swap, other_row, pivot_row).T
+    out[:, 1] = np.where(swap, pivot_row, other_row).T
+    out[:, 2, 0], out[:, 2, 1] = vx[2], vy[2]
+    out[singular] = np.nan
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_transform_matches() -> bool:
+    """Whether ``_barycentric_transform`` can stand in for scipy's on this host.
+
+    It must equal ``Delaunay.transform`` bit for bit on a fixed
+    triangulation, and ``Delaunay.transform`` must return what is set in
+    ``Delaunay._transform``.  The points are a flat parabola and one point
+    on its axis; their thin triangles tell apart arithmetic orders that
+    Delaunay triangulations of random masks do not (a fused factor update).
+    """
+    from scipy import spatial
+
+    i = np.arange(-64, 65)
+    points = np.concatenate([np.stack([i * i // 64, i + 64], axis=1), [[64, 64]]])
+    tri = spatial.Delaunay(points.astype(np.float64))
+    expected = tri.transform
+    got = _barycentric_transform(tri.points, tri.simplices)
+    try:
+        tri._transform = got
+    except AttributeError:  # a Delaunay without a settable cache
+        return False
+    return tri.transform is got and got.tobytes() == expected.tobytes()
 
 
 def _nearest_known(known_rc: NDArray[np.intp], query_rc: NDArray[np.intp]) -> NDArray[np.intp]:
@@ -142,7 +272,10 @@ def linear_triangulation_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid
     nearest-neighbor value.  Degenerate sample sets (fewer than three
     points, or all collinear) fall back to nearest-neighbor entirely.
     The interpolant repeats ``scipy.interpolate.LinearNDInterpolator``'s
-    arithmetic in its order, so the bytes equal that interpolator's.
+    arithmetic in its order, so the bytes equal that interpolator's.  The
+    barycentric transform that ``find_simplex`` and the interpolant read is
+    ``_barycentric_transform``'s, set before ``find_simplex``, or scipy's
+    own where the module docstring says; the two are equal bit for bit.
     """
     known_vals = check_inputs(image, mask)
     unknown = ~mask.flags
@@ -156,6 +289,8 @@ def linear_triangulation_fill(image: ImageGrid, mask: SamplingMask) -> ImageGrid
         nn = nearest_neighbor_fill(image, mask)  # raises, before the warning, on none
         log.warning("fewer than 3 or collinear known samples; using nearest-neighbor fill")
         return nn
+    if known_rc.max() < EXACT_BELOW and _numpy_transform_matches():
+        tri._transform = _barycentric_transform(tri.points, tri.simplices)
     unknown_rc = np.argwhere(unknown)
     pts = unknown_rc.astype(np.float64)
     simplex = tri.find_simplex(pts)

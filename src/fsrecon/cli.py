@@ -16,7 +16,9 @@ from .weighting import FsrParams
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    output = imgio.pgm_path(args.output, "write")  # before any work is done
+    output = imgio.pnm_path(args.output, "write")  # before any work is done
+    if not output.parent.is_dir():
+        raise ValueError(f"cannot write {output}: {output.parent} is not a directory")
     image = imgio.read_image(args.input)
     if args.mask is not None:
         mask = imgio.read_pbm(args.mask)

@@ -10,13 +10,18 @@ import numpy as np
 from .grid import ImageGrid, SamplingMask
 
 
-def pgm_path(path: str | Path, verb: str) -> Path:
-    """``path`` as a Path, if its suffix is ``.pgm``: images are read and
-    written as PGM only.  Any other suffix raises a ValueError naming PGM.
+_KINDS = {".pgm": "PGM images", ".pbm": "PBM masks"}
+
+
+def pnm_path(path: str | Path, verb: str, suffix: str = ".pgm") -> Path:
+    """``path`` as a Path, if its suffix is ``suffix``: images are read and
+    written as PGM (``.pgm``) only, masks as PBM (``.pbm``) only.  Any other
+    suffix raises a ValueError naming the format.
     """
     path = Path(path)
-    if path.suffix.lower() != ".pgm":
-        raise ValueError(f"cannot {verb} {path}: only PGM images (.pgm) are read or written")
+    if path.suffix.lower() != suffix:
+        kind = _KINDS[suffix]
+        raise ValueError(f"cannot {verb} {path}: only {kind} ({suffix}) are read or written")
     return path
 
 
@@ -54,7 +59,7 @@ def read_image(path: str | Path) -> ImageGrid:
     At maxval 255 the samples are the bytes themselves.  A sample above
     maxval is rejected, and so is any file whose suffix is not ``.pgm``.
     """
-    path = pgm_path(path, "read")
+    path = pnm_path(path, "read")
     data = path.read_bytes()
     (width, height, maxval), pos = _read_pnm_header(path, data, b"P5", 3)
     if not 0 < maxval <= 255:
@@ -69,14 +74,16 @@ def read_image(path: str | Path) -> ImageGrid:
 
 def write_pgm(path: str | Path, image: ImageGrid) -> None:
     """Write a binary 8-bit PGM, rounded and clipped to [0, 255]; only to a ``.pgm`` path."""
-    path = pgm_path(path, "write")
+    path = pnm_path(path, "write")
     arr = np.clip(np.rint(image.samples), 0, 255).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode()
     path.write_bytes(header + arr.tobytes())
 
 
 def read_pbm(path: str | Path) -> SamplingMask:
-    data = Path(path).read_bytes()
+    """Read a binary PBM mask, 1 = sample available; only from a ``.pbm`` path."""
+    path = pnm_path(path, "read", ".pbm")
+    data = path.read_bytes()
     (width, height), pos = _read_pnm_header(path, data, b"P4", 2)
     row_bytes = (width + 7) // 8
     raw = _read_payload(path, data, pos, row_bytes * height)
@@ -86,6 +93,8 @@ def read_pbm(path: str | Path) -> SamplingMask:
 
 
 def write_pbm(path: str | Path, mask: SamplingMask) -> None:
+    """Write a binary PBM mask, 1 = sample available; only to a ``.pbm`` path."""
+    path = pnm_path(path, "write", ".pbm")
     bits = np.packbits(mask.flags.astype(np.uint8), axis=1)
     header = f"P4\n{mask.width} {mask.height}\n".encode()
-    Path(path).write_bytes(header + bits.tobytes())
+    path.write_bytes(header + bits.tobytes())

@@ -1,9 +1,15 @@
+import functools
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import LinearNDInterpolator
-from scipy.spatial import QhullError
+from scipy.spatial import Delaunay, QhullError
 
 from fsrecon import baselines
 from fsrecon.baselines import linear_triangulation_fill, nearest_neighbor_fill
@@ -387,3 +393,247 @@ class TestLinearTriangulation:
         assert out[rows[~outside], cols[~outside]].tobytes() == vals[~outside].tobytes()
         expected = brute_force_nn(img, mask)[rows[outside], cols[outside]]
         assert out[rows[outside], cols[outside]].tobytes() == expected.tobytes()
+
+
+def lattice(height, width, stride, row0=0, col0=0):
+    flags = np.zeros((height, width), dtype=bool)
+    flags[row0::stride, col0::stride] = True
+    return np.argwhere(flags)
+
+
+def random_points(side, density, seed, width=None):
+    return np.argwhere(random_flags(side, width or side, density, seed))
+
+
+def line_and_point(n, offset):
+    """``n`` samples in one row and one sample ``offset`` rows off its middle."""
+    return np.array([(0, c) for c in range(n)] + [(offset, n // 2)])
+
+
+TRIANGULATIONS = {
+    **{
+        f"random-{side}-{density}": functools.partial(random_points, side, density, seed)
+        for side, density, seed in [
+            (16, 0.3, 1), (16, 0.99, 2), (32, 0.05, 3), (32, 0.6, 4), (48, 0.9, 5),
+            (64, 0.005, 6), (64, 0.1, 7), (64, 0.99, 8), (128, 0.02, 9), (128, 0.3, 10),
+            (128, 0.8, 11), (256, 0.01, 12), (256, 0.3, 13), (512, 0.005, 14),
+            (512, 0.05, 15),
+        ]
+    },
+    "random-200x90-0.4": lambda: random_points(90, 0.4, 16, width=200),
+    "stride-2": lambda: lattice(41, 37, 2, 1, 0),
+    "stride-3": lambda: lattice(100, 100, 3, 2, 1),
+    "stride-17": lambda: lattice(256, 256, 17, 3, 11),
+    "line-and-point": lambda: line_and_point(40, 3),
+    "line-and-near-point": lambda: line_and_point(64, 1),
+}
+
+
+@pytest.mark.parametrize("name", TRIANGULATIONS)
+def test_transform_equals_scipy_on_triangulations(name):
+    tri = Delaunay(TRIANGULATIONS[name]().astype(np.float64))
+    got = baselines._barycentric_transform(tri.points, tri.simplices)
+    assert got.tobytes() == tri.transform.tobytes()
+
+
+@pytest.mark.parametrize("bound", [6, 64, 2**20])
+def test_transform_equals_scipy_on_any_integer_simplex(bound):
+    """Arbitrary integer triangles, thin and collinear ones (NaN rows) among
+    them, against the routine behind ``Delaunay.transform``."""
+    get_transforms = getattr(scipy.spatial._qhull, "_get_barycentric_transforms", None)
+    if get_transforms is None:
+        pytest.skip("this scipy has no _get_barycentric_transforms")
+    rng = np.random.default_rng(bound)
+    points = rng.integers(0, bound, (20000, 3, 2))
+    # collinear triples p + k d inside the bound: 2000 of them lead
+    reach = bound // 4 + 1
+    line = rng.integers(0, bound, (20000, 1, 2)) + (
+        rng.integers(-3, 4, (20000, 3, 1)) * rng.integers(-reach, reach + 1, (20000, 1, 2))
+    )
+    points[:2000] = line[((line >= 0) & (line < bound)).all(axis=(1, 2))][:2000]
+    points = points.reshape(-1, 2).astype(np.float64)
+    simplices = np.arange(len(points), dtype=np.intc).reshape(-1, 3)
+    expected = get_transforms(points, simplices, np.finfo(float).eps)
+    assert np.isnan(expected[:, 0, 0]).sum() >= 2000
+    assert baselines._barycentric_transform(points, simplices).tobytes() == expected.tobytes()
+
+
+def exact_fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once; int / int division in Python rounds correctly."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def is_halfway(a: float, b: float, c: float) -> bool:
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    r = float(exact)
+    other = math.nextafter(r, math.inf if exact > r else -math.inf)
+    return Fraction(r) + Fraction(other) == 2 * exact
+
+
+def fma_cases(n: int, seed: int):
+    """(a, b, c) in three classes of ``n`` triples each.
+
+    - random triples whose terms overlap;
+    - products of odd integers of 1 to 30 bits that end at or just past
+      the rounding bit of c's binade: many sums lie exactly halfway
+      between two doubles;
+    - products (2**40 + u) (2**40 - u), scaled, which round to a power of
+      two at exactly half an ulp of c and leave a tail -u**2 past that
+      midpoint: adding the rounded product and its tail to c in two
+      roundings ties to even where the exact sum does not tie.
+    """
+    rng = np.random.default_rng(seed)
+    sign = lambda: rng.choice([-1.0, 1.0], n)  # noqa: E731
+    mantissa = lambda: rng.integers(2**52, 2**53, n).astype(np.float64)  # noqa: E731
+    a = sign() * rng.uniform(1, 2, n) * 2.0 ** rng.integers(-40, 41, n)
+    b = sign() * rng.uniform(1, 2, n) * 2.0 ** rng.integers(-40, 41, n)
+    c = sign() * rng.uniform(1, 2, n) * np.ldexp(np.abs(a * b), rng.integers(-60, 61, n))
+    odd = lambda: 2 * rng.integers(0, 2 ** rng.integers(0, 30, n)) + 1  # noqa: E731
+    ha = sign() * np.ldexp(odd().astype(np.float64), rng.integers(-30, 31, n))
+    hb = sign() * np.ldexp(odd().astype(np.float64), rng.integers(-30, 31, n))
+    low = np.log2(np.abs(ha * hb)).astype(int) - 52  # the product's bit at c's half ulp
+    hc = sign() * np.ldexp(mantissa(), low + 1)
+    u, ea, eb = rng.integers(1, 2**13, n), rng.integers(-60, 61, n), rng.integers(-60, 61, n)
+    ta = sign() * np.ldexp(2.0**40 + u, ea)
+    tb = sign() * np.ldexp(2.0**40 - u, eb)
+    tc = sign() * np.ldexp(mantissa(), 81 + ea + eb)
+    return np.concatenate([a, ha, ta]), np.concatenate([b, hb, tb]), np.concatenate([c, hc, tc])
+
+
+def test_fma_rounds_as_exact_arithmetic():
+    a, b, c = fma_cases(10000, 23)
+    got = baselines._fma(a, b, c)
+    cases = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    expected = np.array([exact_fma(*abc) for abc in cases])
+    assert sum(is_halfway(*abc) for abc in cases[10000:20000]) >= 1000
+    assert (a * b + c != expected).sum() >= 1000  # two roundings often miss
+    assert got.tobytes() == expected.tobytes()
+
+
+def lapack_chain(vertices, fused_back=True, fused_forward=False, fused_factor=False,
+                 reciprocal=True):
+    """One simplex's transform, getrf and then getrs on the identity, one step
+    at a time, from its three vertices; LAPACK's matrix has a row per vertex
+    0 and 1, minus vertex 2.  The defaults are OpenBLAS's arithmetic; each
+    switch is a near variant."""
+    fma = exact_fma
+    scale = (lambda x, d: x * (1.0 / d)) if reciprocal else (lambda x, d: x / d)
+    (v0x, v0y), (v1x, v1y), v2 = vertices
+    a = [(v0x - v2[0], v0y - v2[1]), (v1x - v2[0], v1y - v2[1])]
+    p = 1 if abs(a[1][0]) > abs(a[0][0]) else 0
+    (pivot, b0), (other, b1) = a[p], a[1 - p]
+    if pivot * b1 - b0 * other == 0:
+        return [[math.nan] * 2] * 3
+    l = scale(other, pivot)
+    u22 = fma(-l, b0, b1) if fused_factor else b1 - l * b0
+    rows = [None, None, list(v2)]
+    for j, (y0, y1) in ((p, (1.0, 0.0)), (1 - p, (0.0, 1.0))):
+        y1 = fma(-l, y0, y1) if fused_forward else y1 - l * y0
+        x1 = scale(y1, u22)
+        x0 = scale(fma(-b0, x1, y0) if fused_back else y0 - b0 * x1, pivot)
+        rows[j] = [x0, x1]
+    return rows
+
+
+def chain_transform(**variant):
+    """A drop-in for ``_barycentric_transform`` built from ``lapack_chain``."""
+
+    def transform(points, simplices):
+        return np.array([lapack_chain(v, **variant) for v in points[simplices].tolist()])
+
+    return transform
+
+
+@pytest.fixture
+def fresh_probe():
+    baselines._numpy_transform_matches.cache_clear()
+    yield baselines._numpy_transform_matches
+    baselines._numpy_transform_matches.cache_clear()
+
+
+# fusing the forward solve alone changes nothing: on the columns of the
+# identity its steps, 0 - l * 1 and 1 - l * 0, are exact
+CHAIN_VARIANTS = {
+    "openblas": ({}, True),
+    "fused-forward-solve": ({"fused_forward": True}, True),
+    "no-fused-step": ({"fused_back": False}, False),
+    "fused-factor-and-both-solves": ({"fused_factor": True, "fused_forward": True}, False),
+    "divide-not-reciprocal": ({"reciprocal": False}, False),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_VARIANTS)
+def test_probe_tells_the_chain_from_its_near_variants(name, fresh_probe, monkeypatch):
+    variant, matches = CHAIN_VARIANTS[name]
+    monkeypatch.setattr(baselines, "_barycentric_transform", chain_transform(**variant))
+    assert fresh_probe() == matches
+
+
+def test_lin_with_a_near_variant_keeps_its_golden_digests(fresh_probe, monkeypatch):
+    """The probe rejects the variant, so scipy builds every transform."""
+    from test_golden_baselines import CASES, RECORD, digest, environment
+
+    record = json.loads(RECORD.read_text())
+    if record["environment"] != environment():
+        pytest.skip(f"digests were recorded on {record['environment']}, this is {environment()}")
+    calls = []
+    variant = chain_transform(fused_back=False)
+
+    def counted(points, simplices):
+        calls.append(len(simplices))
+        return variant(points, simplices)
+
+    monkeypatch.setattr(baselines, "_barycentric_transform", counted)
+    for name in CASES:
+        assert digest(name, "lin") == record["digests"][f"{name}/lin"], name
+    assert not fresh_probe()
+    assert len(calls) == 1  # the probe's
+
+
+class ReadOnlyCache(Delaunay):
+    """A transform cache that only scipy's first fill may set."""
+
+    def __setattr__(self, name, value):
+        if name == "_transform" and getattr(self, "_transform", None) is not None:
+            raise AttributeError(name)
+        super().__setattr__(name, value)
+
+
+class UncachedTransform(Delaunay):
+    """A transform property that ignores what is set in the cache."""
+
+    @property
+    def transform(self):
+        self._transform = None
+        return super().transform
+
+
+@pytest.mark.parametrize("delaunay", [ReadOnlyCache, UncachedTransform])
+def test_probe_fails_when_scipy_ignores_the_cache(delaunay, fresh_probe, monkeypatch):
+    monkeypatch.setattr(scipy.spatial, "Delaunay", delaunay)
+    assert not fresh_probe()
+    image = ImageGrid(np.random.default_rng(21).uniform(0, 255, (32, 32)))
+    mask = generate_mask(32, 32, 0.3, 21)
+    assert linear_triangulation_fill(image, mask).samples.tobytes() == \
+        brute_force_lin(image, mask).tobytes()
+
+
+def test_import_scipy_runs_the_probe(fresh_probe):
+    baselines.import_scipy()
+    assert fresh_probe.cache_info().currsize == 1
+
+
+def test_coordinates_at_the_bound_leave_the_transform_to_scipy(monkeypatch):
+    image = ImageGrid(np.random.default_rng(22).uniform(0, 255, (24, 24)))
+    mask = generate_mask(24, 24, 0.3, 22)
+    baselines.import_scipy()  # the probe runs before the count starts
+    built = []
+    transform = baselines._barycentric_transform
+    monkeypatch.setattr(
+        baselines, "_barycentric_transform", lambda *args: built.append(1) or transform(*args)
+    )
+    expected = linear_triangulation_fill(image, mask).samples.tobytes()
+    assert built == [1]
+    monkeypatch.setattr(baselines, "EXACT_BELOW", int(np.argwhere(mask.flags).max()))
+    assert linear_triangulation_fill(image, mask).samples.tobytes() == expected
+    assert built == [1]

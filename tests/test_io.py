@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fsrecon.grid import ImageGrid, generate_mask
+from fsrecon.grid import ImageGrid, SamplingMask, generate_mask
 from fsrecon.imgio import read_image, read_pbm, write_pbm, write_pgm
 
 
@@ -151,3 +151,23 @@ def test_write_pgm_accepts_an_upper_case_suffix(tmp_path):
     path = tmp_path / "out.PGM"
     write_pgm(path, ImageGrid(np.full((2, 3), 7.0)))
     assert read_image(path).samples.tobytes() == np.full((2, 3), 7.0).tobytes()
+
+
+@pytest.mark.parametrize("name", ["mask.pgm", "mask.png", "mask"])
+def test_pbm_rejects_another_suffix(tmp_path, name):
+    # accepted, a mask was read and written under any name
+    path = tmp_path / name
+    message = f"{path}: only PBM masks (.pbm) are read or written"
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {message}")):
+        write_pbm(path, SamplingMask(np.ones((2, 2), dtype=bool)))
+    assert not path.exists()
+    path.write_bytes(b"P4\n2 2\n" + bytes(2))
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {message}")):
+        read_pbm(path)
+
+
+def test_pbm_accepts_an_upper_case_suffix(tmp_path):
+    path = tmp_path / "mask.PBM"
+    mask = generate_mask(9, 4, 0.5, 1)
+    write_pbm(path, mask)
+    assert read_pbm(path).flags.tobytes() == mask.flags.tobytes()

@@ -534,6 +534,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out}: only PGM images (.pgm) are read or written\n"
 
+    def test_reconstruct_output_directory_missing_exits_before_running(
+        self, test_image, tmp_path, capsys, monkeypatch
+    ):
+        # accepted, the whole reconstruction ran before the write failed
+        calls = []
+        monkeypatch.setattr(fsrecon.cli, "run_method", lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "out.pgm"
+        argv = ["reconstruct", "--input", test_image, "--density", "0.5", "--method", "nn",
+                "--output", str(out)]
+        assert cli_main(argv) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: {out.parent} is not a directory\n"
+
+    def test_reconstruct_pgm_mask_exits_with_message(self, test_image, tmp_path, capsys):
+        # accepted, read as a PBM whatever its name
+        mask = tmp_path / "x.pgm"
+        write_pgm(mask, ImageGrid(np.zeros((32, 32))))
+        out = tmp_path / "out.pgm"
+        rc = cli_main(["reconstruct", "--input", test_image, "--mask", str(mask),
+                       "--method", "nn", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {mask}: only PBM masks (.pbm) are read or written\n"
+
     def test_reconstruct_mask_size_mismatch_names_both_shapes(self, test_image, tmp_path, capsys):
         mask = tmp_path / "small.pbm"
         write_pbm(mask, SamplingMask(np.ones((8, 8), dtype=bool)))
