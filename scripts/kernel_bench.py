@@ -21,22 +21,28 @@ median [first quartile, third quartile]; with two trees it adds the ratio
 of the second tree's median to the first's and how many repeats the
 second tree won.  An image or ``lin`` line also says whether both trees'
 outputs (and fallback blocks) are byte-equal; the script exits 1 if any of
-them differ.
+them differ.  Run as a script, it caps BLAS/OpenMP pools at one thread
+before numpy is imported, as ``perfbench/run.py`` caps its workers.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import importlib.util
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if __name__ == "__main__":  # an importer keeps its own pools
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
@@ -68,10 +74,7 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
 def kernel_case(tree, labels: np.ndarray, values: np.ndarray):
     """A fresh model state of the stack and its prior weights."""
     core, params = tree.core, tree.weighting.FsrParams()
-    # a tree whose windows still carry their geometry takes it first
-    fields = {f.name for f in dataclasses.fields(tree.grid.BlockContext)}
-    geometry = [params.block_size, params.border] if "border" in fields else []
-    ctx = tree.grid.BlockContext(*geometry, labels, values)
+    ctx = tree.grid.BlockContext(labels, values)
     state = core.init_model_state(ctx.values, tree.weighting.build_weight_map(ctx, params))
     _, _, prior_weights = core._set_up(ctx, params, tree.priors.PriorKind.ADAPTIVE, state.order)
     return params, state, prior_weights

@@ -307,22 +307,21 @@ def _set_up(
 def _reconstruct_blocks(
     ctx: BlockContext,
     params: FsrParams,
-    fallback_values: NDArray[np.float64],
     traces: Sequence[list] | None = None,
     prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Center patches (F, B, B) of a stack of independent windows, and whether
-    each window took the fallback (F,).
+    each window holds no usable data (F,).
 
     ``_set_up`` builds the weights, the no-data mask and the prior weights
-    once for the stack.  Every window starts at its fallback value, which a
-    window without usable data keeps for its unknown pixels.  The others
-    run through the kernel as one stack, whose peak allocation is about
-    148 kB per 32x32 window, and take its models.
+    once for the stack.  Every window starts as NaN, which a window without
+    usable data keeps for its unknown pixels.  The others run through the
+    kernel as one stack, whose peak allocation is about 148 kB per 32x32
+    window, and take its models.
     """
     M = params.window_size
     wm, no_data, prior_weights = _set_up(ctx, params, prior, _position_table(M).bins[0])
-    g = np.repeat(fallback_values, M * M).reshape(ctx.values.shape)
+    g = np.full(ctx.values.shape, np.nan)
     idx = np.flatnonzero(~no_data)
     if len(idx):
         state = init_model_state(ctx.values[idx], WeightMap(wm.w[idx], wm.weight_sum[idx]))
@@ -339,27 +338,28 @@ def _reconstruct_blocks(
     return _center_patch(ctx, params, g), no_data
 
 
+def _check_one_window(ctx: BlockContext, entry: str) -> None:
+    if ctx.labels.ndim != 2:
+        raise ValueError(f"{entry} takes one (M, M) window, got shape {ctx.labels.shape}")
+
+
 def reconstruct_block(
     ctx: BlockContext,
     params: FsrParams,
-    fallback_value: float = 128.0,
     selection_trace: list | None = None,
     prior: PriorKind = PriorKind.ADAPTIVE,
 ) -> tuple[NDArray[np.float64], bool]:
-    """Reconstruct the center block of one window; FFT fast path.
+    """Reconstruct the center block of one (M, M) window; FFT fast path.
 
-    Returns the B x B patch and whether the window took the fallback: a
-    window without usable data fills its unknown center pixels with
-    ``fallback_value``, which must be finite.
+    Returns the B x B patch and whether the window holds no usable data.
+    Such a window has no model: its patch is NaN at the unknown center
+    pixels, and ``reconstruct_image`` fills them with its fallback value.
     """
-    if not np.isfinite(fallback_value):
-        raise ValueError(f"fallback_value must be finite, got {fallback_value}")
+    _check_one_window(ctx, "reconstruct_block")
     stack = BlockContext(ctx.labels[None], ctx.values[None])
     traces = None if selection_trace is None else [selection_trace]
-    patches, fallback = _reconstruct_blocks(
-        stack, params, np.array([fallback_value]), traces, prior
-    )
-    return patches[0], bool(fallback[0])
+    patches, no_data = _reconstruct_blocks(stack, params, traces, prior)
+    return patches[0], bool(no_data[0])
 
 
 @lru_cache(maxsize=8)
@@ -373,7 +373,6 @@ def _dft_exponentials(M: int) -> NDArray[np.complex128]:
 def reconstruct_block_reference(
     ctx: BlockContext,
     params: FsrParams,
-    fallback_value: float = 128.0,
     selection_trace: list | None = None,
     energy_trace: list | None = None,
     prior: PriorKind = PriorKind.ADAPTIVE,
@@ -384,15 +383,15 @@ def reconstruct_block_reference(
     and the selection objective by direct sums over the window, and
     updates the residual per basis function.  Serves as the oracle for
     the fast path; O(iterations * M^4).  Weights, no-data mask and prior
-    weights come from ``_set_up``, as on the fast path, at every bin.
-    ``fallback_value`` must be finite, as for ``reconstruct_block``.
+    weights come from ``_set_up``, as on the fast path, at every bin.  A
+    window without usable data returns NaN at its unknown center pixels,
+    as ``reconstruct_block`` does.
     """
-    if not np.isfinite(fallback_value):
-        raise ValueError(f"fallback_value must be finite, got {fallback_value}")
+    _check_one_window(ctx, "reconstruct_block_reference")
     M = params.window_size
     wm, no_data, prior_weights = _set_up(ctx, params, prior, np.arange(M * M))
     if no_data:
-        return _center_patch(ctx, params, np.full(ctx.values.shape, fallback_value)), True
+        return _center_patch(ctx, params, np.full(ctx.values.shape, np.nan)), True
 
     w = wm.w
     E = _dft_exponentials(M)  # E[m, k] = exp(+2j pi m k / M)
@@ -469,7 +468,9 @@ def reconstruct_image(
     cell = np.arange(b, b + B)[:, None] * out.shape[1] + np.arange(b, b + B)
     for members in np.split(by_front, np.flatnonzero(np.diff(front[by_front])) + 1):
         ctx = build_block_context(*windows, origins[members])
-        patches, no_data = _reconstruct_blocks(ctx, params, fallback_values[members], prior=prior)
+        patches, no_data = _reconstruct_blocks(ctx, params, prior=prior)
+        # a window without usable data has no model; its block takes the fallback
+        patches[no_data] = fallback_values[members[no_data], None, None]
         at = (origins[members] @ (out.shape[1], 1))[:, None, None] + cell
         fill = labels.flat[at] == AreaLabel.B.value
         out.flat[at[fill]] = patches[fill]

@@ -118,7 +118,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
     rows record their tau, though their output ignores it; ``lin`` and
     ``nn`` rows record None.  Unreadable images are logged and skipped; the
     config rejects empty axes, so nothing runs only when no image is
-    readable, and then no CSV is written: a ValueError.  The ``seconds`` of
+    readable, and then nothing is created: a ValueError.  Otherwise the
+    output directory is created before the first run.  The ``seconds`` of
     a run exclude one-time imports.
     """
     if {"lin", "nn"} & set(config.methods):
@@ -131,6 +132,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
             log.error("skipping %s: %s", image_path, exc)
     if not images:
         raise ValueError("no image could be read; nothing to run")
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the first run, so it fails first
     rows, runs = [], {}  # runs: the last three RunRow fields of each distinct output
     for tau, (i, (image_path, image)), density, seed, method in itertools.product(
         config.taus or [config.params.tau], enumerate(images), config.densities, config.seeds,
@@ -147,8 +150,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunRow]:
             runs[key] = (psnr(image, result.image), seconds, len(result.fallback_blocks))
         row_tau = None if prior is None else float(tau)
         rows.append(RunRow(image_path, float(density), seed, method, row_tau, *runs[key]))
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(f.name for f in dataclasses.fields(RunRow))

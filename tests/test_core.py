@@ -429,9 +429,9 @@ class TestReconstructBlock:
     def test_zero_data_fallback(self):
         labels = np.full((8, 8), AreaLabel.B, dtype=np.uint8)
         ctx = BlockContext(labels=labels, values=np.zeros((8, 8)))
-        patch, fb = reconstruct_block(ctx, FsrParams(block_size=4, border=2), fallback_value=77.0)
+        patch, fb = reconstruct_block(ctx, FsrParams(block_size=4, border=2))
         assert fb
-        np.testing.assert_array_equal(patch, 77.0)
+        assert np.isnan(patch).all()  # no model; reconstruct_image writes the fallback value
 
     @pytest.mark.parametrize("kind", [PriorKind.ADAPTIVE, PriorKind.OTF, PriorKind.NONE])
     def test_fast_path_matches_reference(self, kind):
@@ -531,13 +531,14 @@ def test_entries_reject_a_mistyped_prior(prior):
 
 
 @pytest.mark.parametrize("entry", [reconstruct_block, reconstruct_block_reference])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_entries_reject_a_non_finite_fallback_value(entry, value):
-    # a window without data would return NaN as its patch, flagged as a fallback
-    params = FsrParams(iterations=1, block_size=4, border=2)
-    for ctx in (random_ctx(np.random.default_rng(47), M=8), all_b_ctx()):
-        with pytest.raises(ValueError, match="fallback_value must be finite"):
-            entry(ctx, params, fallback_value=value)
+@pytest.mark.parametrize("F", [1, 3])
+def test_entries_take_exactly_one_window(entry, F):
+    # a stack, even of one window, is reconstruct_image's to run
+    one = random_ctx(np.random.default_rng(47), M=8)
+    stack = BlockContext(np.stack([one.labels] * F), np.stack([one.values] * F))
+    message = re.escape(f"{entry.__name__} takes one (M, M) window, got shape {(F, 8, 8)}")
+    with pytest.raises(ValueError, match=message):
+        entry(stack, FsrParams(iterations=1, block_size=4, border=2))
 
 
 @pytest.mark.parametrize("entry", [reconstruct_block, reconstruct_block_reference])

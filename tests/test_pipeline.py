@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import types
 from pathlib import Path
@@ -586,7 +587,8 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        assert not (tmp_path / "out").exists()
+        # the directory is made before the first run; the failed run writes no report
+        assert os.listdir(tmp_path / "out") == []
         err = capsys.readouterr().err
         assert err.startswith("error: cannot allocate padded planes")
         assert f"block_size 4 and border {2**70}" in err
@@ -612,6 +614,22 @@ class TestCli:
         assert "no image could be read" in capsys.readouterr().err
         assert "skipping" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_bench_out_that_cannot_be_created_exits_before_running(
+        self, test_image, tmp_path, capsys, monkeypatch
+    ):
+        # accepted, every run of the sweep finished before the directory failed
+        calls = []
+        monkeypatch.setattr(pipeline, "run_method", lambda *args: calls.append(args))
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        cfg = {"images": [test_image], "densities": [0.5], "methods": ["nn", "lin"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_bench_json_config(self, test_image, tmp_path):
         cfg = {

@@ -3,7 +3,8 @@
 ``reconstruct_image`` runs the blocks of each wavefront as one stack.  The
 loop below is the plain raster-order definition it must match: one block
 at a time, each window seeing every raster-earlier block, and the
-fallback value taken from the known samples of raster-earlier blocks.
+fallback value taken from the known samples of raster-earlier blocks and
+written wherever the block entry reports a window without usable data.
 """
 
 import numpy as np
@@ -34,10 +35,12 @@ def raster_reconstruction(image, mask, params, block_fn):
         for c0 in range(0, W, B):
             ctx = build_block_context(*windows, (r0, c0))
             fb = seen_sum / seen_cnt if seen_cnt else global_mean
-            patch, used_fb = block_fn(ctx, params, fb)
+            patch, used_fb = block_fn(ctx, params)
             center = np.s_[r0 + b : r0 + b + B, c0 + b : c0 + b + B]
             fill = labels[center] == AreaLabel.B
-            out[center][fill] = patch[fill]
+            if used_fb:  # the entry leaves NaN where it has no model
+                assert np.isnan(patch[fill]).all()
+            out[center][fill] = fb if used_fb else patch[fill]
             if not used_fb:
                 labels[center][fill] = AreaLabel.R
             elif fill.any():  # listed exactly when it filled a pixel with the fallback value
@@ -55,8 +58,8 @@ def make_case(height, width, density, seed):
 
 
 def assert_matches_raster(image, mask, params, prior):
-    def block_fn(ctx, params, fallback_value):
-        return reconstruct_block(ctx, params, fallback_value, prior=prior)
+    def block_fn(ctx, params):
+        return reconstruct_block(ctx, params, prior=prior)
 
     want, want_fallbacks = raster_reconstruction(image, mask, params, block_fn)
     got = reconstruct_image(image, mask, params, prior)
@@ -75,15 +78,25 @@ def assert_matches_raster(image, mask, params, prior):
     block_size=st.sampled_from([2, 4, 6]),
     border=st.integers(0, 8),
     density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    rho_hat=st.sampled_from([0.7, 1e-150]),
     kind=st.sampled_from(list(PriorKind)),
     seed=st.integers(0, 2**16),
 )
-@example(height=1, width=37, block_size=4, border=6, density=0.3, kind=PriorKind.ADAPTIVE, seed=1)
-@example(height=5, width=3, block_size=2, border=8, density=0.3, kind=PriorKind.OTF, seed=2)
-@example(height=40, width=40, block_size=2, border=3, density=0.01, kind=PriorKind.NONE, seed=3)
-def test_wavefront_equals_raster_order(height, width, block_size, border, density, kind, seed):
+@example(height=1, width=37, block_size=4, border=6, density=0.3, rho_hat=0.7,
+         kind=PriorKind.ADAPTIVE, seed=1)
+@example(height=5, width=3, block_size=2, border=8, density=0.3, rho_hat=0.7,
+         kind=PriorKind.OTF, seed=2)
+@example(height=40, width=40, block_size=2, border=3, density=0.01, rho_hat=0.7,
+         kind=PriorKind.NONE, seed=3)
+# the window of block (0, 8) holds data only where 1e-150 ** d is subnormal:
+# a nonzero weight sum without a finite reciprocal, so that block falls back
+@example(height=12, width=12, block_size=4, border=2, density=0.3, rho_hat=1e-150,
+         kind=PriorKind.OTF, seed=2)
+def test_wavefront_equals_raster_order(
+    height, width, block_size, border, density, rho_hat, kind, seed
+):
     image, mask = make_case(height, width, density, seed)
-    params = FsrParams(block_size=block_size, border=border, iterations=4)
+    params = FsrParams(block_size=block_size, border=border, iterations=4, rho_hat=rho_hat)
     assert_matches_raster(image, mask, params, kind)
 
 
